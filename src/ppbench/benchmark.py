@@ -127,8 +127,9 @@ class ExperimentConfig:
         object.__setattr__(self, "family", family)
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
             raise ValueError("sample size must be an int >= 3")
-        if self.replicates < MIN_REPLICATES:
-            raise ValueError("need at least %d replicates" % MIN_REPLICATES)
+        if (not isinstance(self.replicates, int) or isinstance(self.replicates, bool)
+                or self.replicates < MIN_REPLICATES):
+            raise ValueError("replicates must be an int >= %d" % MIN_REPLICATES)
         if self.method != OLS:
             raise ValueError("the Monte Carlo benchmark fits with OLS only")
 

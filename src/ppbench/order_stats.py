@@ -3,9 +3,11 @@
 Two routes are provided. The expansion route Taylor-expands the quantile
 function around the mean of the uniform order statistic ``U_(i) ~
 Beta(i, N - i + 1)``, keeping derivatives up to a chosen order ``k <= 4``;
-it is cheap and works for any N. The exact route integrates against the
-order-statistic density with adaptive quadrature; it is the reference the
-expansion is judged against and is cost-guarded to moderate N.
+it is cheap and works for any N. Its kernels broadcast over integer rank
+arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
+Python calls. The exact route integrates against the order-statistic
+density with adaptive quadrature; it is the reference the expansion is
+judged against and is cost-guarded to moderate N.
 """
 
 from __future__ import annotations
@@ -53,11 +55,13 @@ def _moment_family(family: str) -> str:
     return NORMAL if family == LOGNORMAL3 else family
 
 
-def _check_indices(i: int, n: int) -> None:
+def _check_indices(i, n: int) -> np.ndarray:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("sample size must be a positive int, got %r" % (n,))
-    if not isinstance(i, int) or isinstance(i, bool) or i < 1 or i > n:
-        raise ValueError("order index must satisfy 1 <= i <= N, got i=%r" % (i,))
+    r = np.asarray(i)
+    if r.dtype.kind not in "iu" or np.any(r < 1) or np.any(r > n):
+        raise ValueError("order index must be ints with 1 <= i <= N, got i=%r" % (i,))
+    return r
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,18 @@ class BetaOrderLaw:
         return mu * (1.0 - mu) / (self.n + 2.0)
 
 
-def expansion_mean(family: str, i: int, n: int, k: int = 4) -> float:
+def expansion_mean(family: str, i, n: int, k: int = 4):
     """Approximate E of the i-th reduced order statistic, truncation level k.
 
     k = 0 keeps only the quantile at the mean uniform position (the
     distribution-free value); the first-order term vanishes identically, so
     k = 1 equals k = 0. Levels 2, 3, 4 add the second, third and fourth
     quantile-derivative corrections.
+
+    ``i`` is an int (giving a float) or an integer array of ranks.
     """
     family = _moment_family(family)
-    _check_indices(i, n)
+    i = _check_indices(i, n)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > 4:
         raise ValueError("truncation level k must be an int in 0..4, got %r" % (k,))
 
@@ -111,45 +117,40 @@ def expansion_mean(family: str, i: int, n: int, k: int = 4) -> float:
         value += mu * q * (q - mu) / (3.0 * d * d) * quantile_derivative(family, mu, 3)
     if k >= 4:
         value += (mu * q) ** 2 / (8.0 * d * d) * quantile_derivative(family, mu, 4)
-    return float(value)
+    return float(value) if i.ndim == 0 else value
 
 
-def expansion_cov(family: str, i: int, j: int, n: int) -> float:
+def expansion_cov(family: str, i, j, n: int):
     """Second-order covariance approximation between reduced order statistics.
 
-    The closed form is stated for the canonical ordering i <= j; arguments
-    are swapped if needed, which is exactly the symmetry of the covariance.
+    ``i`` and ``j`` are ints (giving a float) or integer rank arrays that
+    broadcast together. For i <= j, with p = i/(N+1), q = 1 - p, d = N + 2,
+    g_r the r-th quantile derivative at p and h = (q - p) g2 + p q g3 / 2,
+
+        cov = p_i q_j / d^2 (d g1_i g1_j + h_i g1_j + g1_i h_j + p_i q_j g2_i g2_j / 2),
+
+    a sum of three products of a factor of i and a factor of j. For i > j
+    the ranks swap, which is exactly the symmetry of the covariance.
     """
     family = _moment_family(family)
-    _check_indices(i, n)
-    _check_indices(j, n)
-    if i > j:
-        i, j = j, i
+    i = _check_indices(i, n) - 1
+    j = _check_indices(j, n) - 1
 
-    pi = i / (n + 1.0)
-    pj = j / (n + 1.0)
-    qi, qj = 1.0 - pi, 1.0 - pj
+    p = np.arange(1, n + 1) / (n + 1.0)
+    q = 1.0 - p
     d = n + 2.0
+    g1, g2, g3 = (quantile_derivative(family, p, r) for r in (1, 2, 3))
+    h = (q - p) * g2 + 0.5 * p * q * g3
+    # factors of the lower rank (u) and of the higher rank (v, carrying 1/d^2)
+    u1, u2, u3 = p * (d * g1 + h), p * g1, 0.5 * p * p * g2
+    w = q / (d * d)
+    v1, v2, v3 = w * g1, w * h, w * q * g2
 
-    qd = quantile_derivative
-    gi1, gj1 = qd(family, pi, 1), qd(family, pj, 1)
-    gi2, gj2 = qd(family, pi, 2), qd(family, pj, 2)
-    gi3, gj3 = qd(family, pi, 3), qd(family, pj, 3)
+    def upper(lo, hi):
+        return u1[lo] * v1[hi] + u2[lo] * v2[hi] + u3[lo] * v3[hi]
 
-    cov = pi * qj / d * gi1 * gj1
-    cov += (
-        pi
-        * qj
-        / (d * d)
-        * (
-            (qi - pi) * gi2 * gj1
-            + (qj - pj) * gj2 * gi1
-            + 0.5 * pi * qi * gi3 * gj1
-            + 0.5 * pj * qj * gj3 * gi1
-            + 0.5 * pi * qj * gi2 * gj2
-        )
-    )
-    return float(cov)
+    cov = np.where(i <= j, upper(i, j), upper(j, i))
+    return float(cov) if cov.ndim == 0 else cov
 
 
 def _order_stat_pdf_factory(family: str, i: int, n: int):
@@ -327,6 +328,8 @@ def build_moments(
     cov_mode selects the covariance model: the second-order expansion, the
     exact quadrature values (N <= 10), the expansion diagonal only, or the
     identity. In exact mode the mean vector is also exact and k is ignored.
+    The expansion modes make one broadcast kernel call per moment, O(N^2)
+    array work for the full matrix, not O(N^2) Python calls.
     """
     family = _moment_family(family)
     if cov_mode not in COV_MODES:
@@ -343,19 +346,14 @@ def build_moments(
             for j in range(i, n + 1):
                 V[i - 1, j - 1] = V[j - 1, i - 1] = exact_cov(family, i, j, n)
     else:
-        y = np.array([expansion_mean(family, i, n, k) for i in range(1, n + 1)])
+        r = np.arange(1, n + 1)
+        y = expansion_mean(family, r, n, k)
         if cov_mode == IDENTITY:
             V = np.eye(n)
+        elif cov_mode == DIAGONAL:
+            V = np.diag(expansion_cov(family, r, r, n))
         else:
-            var = np.array([expansion_cov(family, i, i, n) for i in range(1, n + 1)])
-            if cov_mode == DIAGONAL:
-                V = np.diag(var)
-            else:
-                V = np.empty((n, n))
-                for i in range(1, n + 1):
-                    V[i - 1, i - 1] = var[i - 1]
-                    for j in range(i + 1, n + 1):
-                        V[i - 1, j - 1] = V[j - 1, i - 1] = expansion_cov(family, i, j, n)
+            V = expansion_cov(family, r[:, None], r, n)
 
     V, ridge = ensure_spd(V)
     return OrderStatMoments(family=family, n=n, k=k, cov_mode=cov_mode, y=y, V=V, ridge=ridge)

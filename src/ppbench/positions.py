@@ -174,7 +174,7 @@ def proposed_positions(family: str, n: int, k: int = 4) -> PositionSet:
     family = canonical_family(family)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("sample size must be a positive int")
-    y = np.array([expansion_mean(family, i, n, k) for i in range(1, n + 1)])
+    y = expansion_mean(family, np.arange(1, n + 1), n, k)
     p = np.asarray(reduced_cdf(family, y), dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("expected order statistics map outside (0, 1)")

@@ -568,7 +568,6 @@ def test_criterion_6_property_bundle():
     assert abs(g.b_hat - o.b_hat) < 1e-10
 
     # (e) closed-form quantile derivatives vs high-precision differentiation
-    mp.mp.dps = 40
     oracles = {
         "gumbel": lambda p: -mp.log(-mp.log(p)),
         "normal": lambda p: mp.sqrt(2) * mp.erfinv(2 * p - 1),
@@ -576,7 +575,8 @@ def test_criterion_6_property_bundle():
     for family, Q in oracles.items():
         for p in (0.1, 0.5, 0.9):
             for order in (1, 2, 3, 4):
-                ref = float(mp.diff(Q, mp.mpf(p), order))
+                with mp.workdps(40):
+                    ref = float(mp.diff(Q, mp.mpf(p), order))
                 got = quantile_derivative(family, p, order)
                 assert abs(got - ref) <= 1e-5 * abs(ref), (family, p, order)
 

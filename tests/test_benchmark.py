@@ -57,6 +57,10 @@ def test_config_validation():
         ExperimentConfig(family="gumbel", n=2)
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, replicates=99)
+    # a float count would otherwise only fail later, inside range()
+    for bad in (200.0, np.float64(200.0), "200", True):
+        with pytest.raises(ValueError):
+            ExperimentConfig(family="gumbel", n=5, replicates=bad)
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, method="gls")
     with pytest.raises(ValueError):

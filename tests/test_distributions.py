@@ -100,11 +100,11 @@ def _mp_quantile(family):
 def test_quantile_derivative_against_high_precision_differences(family, order):
     # independent oracle: arbitrary-precision numerical differentiation of
     # the quantile function itself
-    mp.mp.dps = 40
     Q = _mp_quantile(family)
     for p in np.linspace(0.05, 0.95, 13):
         ours = quantile_derivative(family, float(p), order)
-        ref = float(mp.diff(Q, mp.mpf(float(p)), order))
+        with mp.workdps(40):
+            ref = float(mp.diff(Q, mp.mpf(float(p)), order))
         assert ours == pytest.approx(ref, rel=1e-5), (family, order, p)
 
 

@@ -12,6 +12,7 @@ from ppbench import (
     exact_mean,
     expansion_cov,
     expansion_mean,
+    quantile_derivative,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -148,7 +149,75 @@ def test_expansion_cov_tracks_exact_values():
 
 
 def test_expansion_cov_rank_order_irrelevant():
-    assert expansion_cov("gumbel", 5, 2, 9) == expansion_cov("gumbel", 2, 5, 9)
+    got = expansion_cov("gumbel", 5, 2, 9)
+    assert isinstance(got, float)
+    assert got == expansion_cov("gumbel", 2, 5, 9)
+
+
+def _expansion_cov_loop(family, n):
+    """Scalar transcription of the second-order closed form, pair by pair."""
+    g = {
+        i: [quantile_derivative(family, i / (n + 1.0), r) for r in (1, 2, 3)]
+        for i in range(1, n + 1)
+    }
+    d = n + 2.0
+    V = np.empty((n, n))
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            pi, pj = i / (n + 1.0), j / (n + 1.0)
+            qi, qj = 1.0 - pi, 1.0 - pj
+            (gi1, gi2, gi3), (gj1, gj2, gj3) = g[i], g[j]
+            cov = pi * qj / d * gi1 * gj1
+            cov += pi * qj / (d * d) * (
+                (qi - pi) * gi2 * gj1
+                + (qj - pj) * gj2 * gi1
+                + 0.5 * pi * qi * gi3 * gj1
+                + 0.5 * pj * qj * gj3 * gi1
+                + 0.5 * pi * qj * gi2 * gj2
+            )
+            V[i - 1, j - 1] = V[j - 1, i - 1] = cov
+    return V
+
+
+# The covariance kernel regroups the closed form's products, and numpy's
+# array power loop can round g**3 and g**4 differently from the scalar path,
+# so the broadcast kernels agree with scalar evaluation to a few ulp, not
+# bitwise.
+KERNEL_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("n", [2, 5, 30, 201])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_expansion_cov_broadcast_matches_scalar_loop(family, n):
+    r = np.arange(1, n + 1)
+    grid = expansion_cov(family, r[:, None], r, n)
+    np.testing.assert_allclose(grid, _expansion_cov_loop(family, n), rtol=KERNEL_RTOL, atol=0)
+    np.testing.assert_array_equal(expansion_cov(family, r, r, n), np.diag(grid))
+    assert expansion_cov(family, 1, n, n) == grid[0, -1] == grid[-1, 0]
+
+
+@pytest.mark.parametrize("n", [2, 5, 30, 201])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_expansion_mean_broadcast_matches_scalar_calls(family, n):
+    r = np.arange(1, n + 1)
+    for k in range(5):
+        got = expansion_mean(family, r, n, k)
+        ref = [expansion_mean(family, i, n, k) for i in range(1, n + 1)]
+        np.testing.assert_allclose(got, ref, rtol=KERNEL_RTOL, atol=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([0, 1, 2]), np.array([1, 2, 6]), np.array([1.0, 2.0]),
+            np.array([True, False]), 2.0, True, 0, 6]
+)
+def test_expansion_kernels_reject_bad_ranks(bad):
+    n = 5
+    with pytest.raises(ValueError):
+        expansion_mean("normal", bad, n)
+    with pytest.raises(ValueError):
+        expansion_cov("normal", bad, 3, n)
+    with pytest.raises(ValueError):
+        expansion_cov("normal", np.arange(1, n + 1), bad, n)
 
 
 def test_expansion_mean_rejects_bad_order():
@@ -179,7 +248,7 @@ def test_build_moments_expansion_mode(family, n):
     assert m.y.shape == (n,)
     assert m.V.shape == (n, n)
     assert np.all(np.diff(m.y) > 0)
-    assert np.allclose(m.V, m.V.T)
+    assert np.array_equal(m.V, m.V.T)
     assert _is_spd(m.V)
     assert m.ridge >= 0.0
 

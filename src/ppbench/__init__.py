@@ -17,6 +17,8 @@ from .distributions import (
     reduced,
     reduced_cdf,
     reduced_quantile,
+    reduced_return_quantile,
+    return_level,
     sample,
 )
 from .order_stats import (

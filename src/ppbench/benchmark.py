@@ -241,7 +241,8 @@ def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
                 chunk[MLE_KEY] = _normal_mle_batch(X)
         return chunk
 
-    workers = _worker_count()
+    # more threads than chunks would only sit idle
+    workers = min(_worker_count(), len(starts))
     if workers == 1:
         chunks = [work(s) for s in starts]
     else:

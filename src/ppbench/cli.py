@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors (bad flags, missing arguments),
-2 on computation errors (bad data, numerical failure). Machine-readable
-output is a JSON envelope {"schema": "report-v1", "kind": ..., "payload":
-...}; the positions subcommand emits plain CSV instead.
+Exit codes: 0 on success, 1 on usage errors (bad flags, missing arguments,
+a family the command does not support), 2 on computation errors (bad data,
+numerical failure). Machine-readable output is a JSON envelope {"schema":
+"report-v1", "kind": ..., "payload": ...}; the positions subcommand emits
+plain CSV instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from .benchmark import (
     run_suite,
 )
 from .casestudy import month_plot_spec, run_case_study
-from .distributions import DistributionSpec, canonical_family, quantile
+from .distributions import (
+    LOGNORMAL3,
+    DistributionSpec,
+    canonical_family,
+    quantile,
+    return_level,
+)
 from .estimation import GLS, MLE, OLS, fit_gls, fit_mle, fit_ols
 from .gof import mad_case3, mad_known_params
 from .order_stats import COV_MODES, EXPANSION, build_moments
@@ -41,6 +48,10 @@ from .positions import (
 from .svgplot import PlotSpec, emit_probability_paper
 
 SCHEMA_ID = "report-v1"
+
+
+class UsageError(ValueError):
+    """A flag value the command does not accept; exits with code 1."""
 
 
 def _envelope(kind: str, payload: dict) -> str:
@@ -107,6 +118,13 @@ def _cmd_positions(args) -> int:
 
 def _cmd_fit(args) -> int:
     family = canonical_family(args.family)
+    if family == LOGNORMAL3:
+        # fitting the raw values on normal paper would mislabel a normal fit
+        raise UsageError(
+            "fit does not support the log family: it needs a threshold c and "
+            "the log(x - c) transform; use `ppbench bradyseism`, or fit "
+            "log(x - c) with --family normal"
+        )
     x = np.sort(_read_values(args.input))
     method = args.method
     if method == MLE:
@@ -140,18 +158,17 @@ def _cmd_quantile(args) -> int:
     family = canonical_family(args.family)
     if (args.return_period is None) == (args.f_level is None):
         raise ValueError("give exactly one of --return-period or --f-level")
+    d = DistributionSpec(family, a=args.a, b=args.b, c=args.c)
     if args.return_period is not None:
         T = float(args.return_period)
-        if T <= 1.0:
-            raise ValueError("return period must exceed 1")
+        x = return_level(d, T)
         f_level = 1.0 - 1.0 / T
     else:
         f_level = float(args.f_level)
         if not 0.0 < f_level < 1.0:
             raise ValueError("f-level must lie strictly inside (0, 1)")
         T = 1.0 / (1.0 - f_level)
-    d = DistributionSpec(family, a=args.a, b=args.b, c=args.c)
-    x = float(quantile(d, f_level))
+        x = float(quantile(d, f_level))
     payload = {
         "family": family,
         "a": d.a,
@@ -370,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
+    except UsageError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 1
     except Exception as exc:  # computation / data errors
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -142,6 +142,33 @@ def reduced_quantile(family: str, p):
     return _ret(_quantile_z(family, arr), scalar)
 
 
+def reduced_return_quantile(family: str, T):
+    """Reduced-variate quantile at return period T, Q(1 - 1/T); vectorized.
+
+    1 - 1/T is never formed, since it rounds to 1 for T above about 1e16:
+    the Gumbel uses -log(-log1p(-1/T)) and the normal -ndtri(1/T).
+    Raises DomainError unless T is finite and exceeds 1.
+    """
+    family = canonical_family(family)
+    arr, scalar = _as_array(T)
+    if not np.all((arr > 1.0) & np.isfinite(arr)):
+        raise DomainError("return period must be finite and exceed 1")
+    if family == GUMBEL:
+        return _ret(-np.log(-np.log1p(-1.0 / arr)), scalar)
+    return _ret(-special.ndtri(1.0 / arr), scalar)
+
+
+def _from_reduced(d: DistributionSpec, z):
+    if d.family == LOGNORMAL3:
+        return d.c + np.exp(d.a + d.b * z)
+    return d.a + d.b * z
+
+
+def return_level(d: DistributionSpec, T) -> float:
+    """The value exceeded on average once per T trials, tail-accurate in T."""
+    return float(_from_reduced(d, reduced_return_quantile(d.family, float(T))))
+
+
 def cdf(d: DistributionSpec, x):
     arr, scalar = _as_array(x)
     if d.family == LOGNORMAL3:
@@ -172,9 +199,7 @@ def quantile(d: DistributionSpec, p):
     arr, scalar = _as_array(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
-    if d.family == LOGNORMAL3:
-        return _ret(d.c + np.exp(d.a + d.b * special.ndtri(arr)), scalar)
-    return _ret(d.a + d.b * _quantile_z(d.family, arr), scalar)
+    return _ret(_from_reduced(d, _quantile_z(d.family, arr)), scalar)
 
 
 def quantile_derivative(family: str, p, order: int):

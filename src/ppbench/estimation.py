@@ -23,10 +23,9 @@ from .distributions import (
     GUMBEL,
     NORMAL,
     DistributionSpec,
-    DomainError,
     canonical_family,
     cdf,
-    reduced_quantile,
+    reduced_return_quantile,
 )
 from .order_stats import OrderStatMoments
 
@@ -204,13 +203,14 @@ def fit_mle(x, family: str) -> FitResult:
 
 
 def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:
-    """Quantile at return period T from a fitted line: a + b * Q(1 - 1/T)."""
+    """Quantile at return period T from a fitted line: a + b * Q(1 - 1/T).
+
+    Q(1 - 1/T) comes from ``reduced_return_quantile``, which stays accurate
+    where 1 - 1/T rounds to 1; ``F_level`` reports 1 - 1/T as a float.
+    """
     T = float(T)
-    if not T > 1.0:
-        raise DomainError("return period must exceed 1")
-    F_level = 1.0 - 1.0 / T
-    z = reduced_quantile(fit.family, F_level)
-    return QuantileEstimate(T=T, x_T_hat=fit.a_hat + fit.b_hat * z, F_level=F_level)
+    z = reduced_return_quantile(fit.family, T)
+    return QuantileEstimate(T=T, x_T_hat=fit.a_hat + fit.b_hat * z, F_level=1.0 - 1.0 / T)
 
 
 def exceedance_probability(

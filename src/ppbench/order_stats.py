@@ -5,9 +5,13 @@ function around the mean of the uniform order statistic ``U_(i) ~
 Beta(i, N - i + 1)``, keeping derivatives up to a chosen order ``k <= 4``;
 it is cheap and works for any N. Its kernels broadcast over integer rank
 arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
-Python calls. The exact route integrates against the order-statistic
-density with adaptive quadrature; it is the reference the expansion is
-judged against and is cost-guarded to moderate N.
+Python calls. The exact route is the reference the expansion is judged
+against and is cost-guarded to moderate N. Means and variances integrate
+against the order-statistic density with adaptive ``quad``. The joint
+moments E[Z_i Z_j], i < j, come from one blocked trapezoid quadrature on
+fixed nodes per (family, N) that serves every pair at once; its error is
+estimated from the same nodes at twice the step and must stay below
+EXACT_COV_TOL.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import (
+    GUMBEL,
     LOGNORMAL3,
     NORMAL,
     canonical_family,
@@ -45,7 +50,7 @@ RIDGE_UNIT = 1e-10
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the required error bound."""
+    """A quadrature failed to reach the required error bound."""
 
 
 def _moment_family(family: str) -> str:
@@ -212,12 +217,108 @@ def _exact_second_moment(family: str, i: int, n: int) -> float:
     return float(val)
 
 
+# Fixed nodes of the joint-moment quadrature in _exact_joint_moments. Beyond
+# the ends of its z1 range each parent's density is below about 1e-17; the
+# inner gap t = z2 - z1 = exp(s) runs from exp(-25) ~ 1.4e-11 to about 50.
+_COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
+_COV_S_RANGE = (-25.0, math.log(50.0))
+_COV_STEP_Z = 0.05
+_COV_STEP_S = 0.1
+_COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    return lo + step * np.arange(round((hi - lo) / step) + 1)
+
+
+def _log_parent(family: str, z: np.ndarray):
+    """log f, log F and log S = log(1 - F) of the reduced parent at z."""
+    if family == GUMBEL:
+        e = np.exp(-z)
+        return -z - e, -e, np.log(-np.expm1(-e))
+    return -0.5 * z * z - _LOG_SQRT_2PI, special.log_ndtr(z), special.log_ndtr(-z)
+
+
+@lru_cache(maxsize=None)
+def _exact_joint_moments(family: str, n: int) -> np.ndarray:
+    """E[Z_i Z_j] for every pair of ranks i < j, in the upper triangle of an N x N table.
+
+    One trapezoid rule on fixed nodes serves every pair: z1 on a uniform grid
+    of step _COV_STEP_Z, and the gap t = z2 - z1 = exp(s) with s on a uniform
+    grid of step _COV_STEP_S (Jacobian t). The integrand is analytic and
+    decays fast at both ends of both variables, so the rule converges
+    exponentially in 1/step; it is negligible at the grid's edges, so their
+    half weights are dropped. The joint density is built in log form from
+    log f, log F, log S and log(F2 - F1), which are evaluated once per block
+    of z1 rows and shared by all pairs; F2 - F1 is formed as S1 - S2 where
+    F1 >= 1/2, to keep it accurate in the upper tail.
+
+    The error estimate per pair is |I_h - I_2h|, where I_2h sums the even
+    nodes of the same grid in both variables; QuadratureError is raised if
+    it exceeds EXACT_COV_TOL.
+    """
+    lo, hi = _COV_Z1_RANGE[family]
+    z = _nodes(lo, hi, _COV_STEP_Z)
+    t = np.exp(_nodes(*_COV_S_RANGE, _COV_STEP_S))
+    ii, jj = np.triu_indices(n, 1)
+    i, j = ii + 1, jj + 1
+    logc = (
+        special.gammaln(n + 1)
+        - special.gammaln(i)
+        - special.gammaln(j - i)
+        - special.gammaln(n - j + 1)
+    )
+    fine = np.zeros(i.size)
+    coarse = np.zeros(i.size)
+    for start in range(0, z.size, _COV_BLOCK):
+        z1 = z[start : start + _COV_BLOCK, None]
+        z2 = z1 + t
+        lf1, lF1, lS1 = _log_parent(family, z1)
+        lf2, lF2, lS2 = _log_parent(family, z2)
+        F1 = np.exp(lF1)
+        dF = np.where(F1 >= 0.5, np.exp(lS1) - np.exp(lS2), np.exp(lF2) - F1)
+        with np.errstate(divide="ignore"):
+            ldF = np.log(dF)
+        base = lf1 + lf2
+        moment = z1 * z2 * t
+        for k in range(i.size):
+            # zero exponents are skipped so that log(0) never multiplies 0
+            logd = base + logc[k]
+            if i[k] > 1:
+                logd = logd + (i[k] - 1) * lF1
+            if j[k] - i[k] > 1:
+                logd = logd + (j[k] - i[k] - 1) * ldF
+            if n - j[k] > 0:
+                logd = logd + (n - j[k]) * lS2
+            g = moment * np.exp(logd)
+            fine[k] += g.sum()
+            coarse[k] += g[::2, ::2].sum()
+    cell = _COV_STEP_Z * _COV_STEP_S
+    fine *= cell
+    coarse *= 4.0 * cell
+    err = float(np.max(np.abs(fine - coarse)))
+    if err > EXACT_COV_TOL:
+        raise QuadratureError(
+            "joint-moment quadrature error %.3e exceeds %.1e" % (err, EXACT_COV_TOL)
+        )
+    table = np.zeros((n, n))
+    table[ii, jj] = fine
+    table.flags.writeable = False  # shared by every caller through the cache
+    return table
+
+
 @lru_cache(maxsize=None)
 def exact_cov(family: str, i: int, j: int, n: int) -> float:
-    """Covariance of reduced order statistics by (double) quadrature.
+    """Covariance of reduced order statistics by quadrature.
 
-    The joint density integral is quadratic in cost, hence the N <= 10
-    guard. Symmetric in (i, j).
+    Variances come from the adaptive one-dimensional quadrature of the first
+    two moments. Off-diagonal entries read E[Z_i Z_j] from one fixed-node
+    trapezoid quadrature of the joint density that serves every pair of an
+    (family, N) at once (see _exact_joint_moments); it raises QuadratureError
+    if its error estimate exceeds EXACT_COV_TOL. Guarded to N <= 10.
+    Symmetric in (i, j).
     """
     family = _moment_family(family)
     _check_indices(i, n)
@@ -230,54 +331,8 @@ def exact_cov(family: str, i: int, j: int, n: int) -> float:
     if i == j:
         m = exact_mean(family, i, n)
         return _exact_second_moment(family, i, n) - m * m
-
-    from .distributions import _cdf_z, _pdf_z
-
-    logc = (
-        special.gammaln(n + 1)
-        - special.gammaln(i)
-        - special.gammaln(j - i)
-        - special.gammaln(n - j + 1)
-    )
-
-    def joint(z2: float, z1: float) -> float:
-        # z1 < z2 on the integration domain
-        F1 = float(_cdf_z(family, np.asarray(z1)))
-        F2 = float(_cdf_z(family, np.asarray(z2)))
-        f1 = float(_pdf_z(family, np.asarray(z1)))
-        f2 = float(_pdf_z(family, np.asarray(z2)))
-        if f1 == 0.0 or f2 == 0.0:
-            return 0.0
-        logd = logc + math.log(f1) + math.log(f2)
-        if i > 1:
-            if F1 <= 0.0:
-                return 0.0
-            logd += (i - 1) * math.log(F1)
-        if j - i > 1:
-            dF = F2 - F1
-            if dF <= 0.0:
-                return 0.0
-            logd += (j - i - 1) * math.log(dF)
-        if n - j > 0:
-            if F2 >= 1.0:
-                return 0.0
-            logd += (n - j) * math.log1p(-F2)
-        return z1 * z2 * math.exp(logd)
-
-    val, err = integrate.dblquad(
-        joint,
-        -np.inf,
-        np.inf,
-        lambda z1: z1,
-        np.inf,
-        epsabs=1e-10,
-        epsrel=1e-10,
-    )
-    if err > EXACT_COV_TOL:
-        raise QuadratureError(
-            "joint-moment quadrature error %.3e exceeds %.1e" % (err, EXACT_COV_TOL)
-        )
-    return float(val) - exact_mean(family, i, n) * exact_mean(family, j, n)
+    joint = float(_exact_joint_moments(family, n)[i - 1, j - 1])
+    return joint - exact_mean(family, i, n) * exact_mean(family, j, n)
 
 
 def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, float]:

@@ -15,6 +15,7 @@ from ppbench import (
     rm_index,
     run_suite,
 )
+from ppbench import benchmark
 from ppbench.benchmark import MLE_KEY, THREADS_ENV, _trapezoid_weights, _worker_count
 
 FAST = dict(replicates=400, seed=DEFAULT_SEED)
@@ -108,6 +109,41 @@ def test_run_suite_deterministic_across_thread_counts(monkeypatch):
     r4 = run_suite(_small_cfg(replicates=3000))
     for a, b in zip(r1.rows, r4.rows):
         assert a.iqse == b.iqse and a.ifse == b.ifse  # bitwise, not approx
+
+
+class _SerialPool:
+    """ThreadPoolExecutor stand-in that records max_workers and maps serially."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_thread_count_capped_at_chunk_count(monkeypatch):
+    # 3000 replicates make 3 chunks of 1024; no thread is started
+    monkeypatch.setattr(benchmark, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setenv(THREADS_ENV, "64")
+    capped = run_suite(_small_cfg(replicates=3000))
+    assert _SerialPool.requested == [3]
+    monkeypatch.setenv(THREADS_ENV, "1")
+    serial = run_suite(_small_cfg(replicates=3000))
+    assert _SerialPool.requested == [3]
+    assert capped.rows == serial.rows
+    # a single chunk never builds a pool
+    monkeypatch.setenv(THREADS_ENV, "64")
+    run_suite(_small_cfg(replicates=400))
+    assert _SerialPool.requested == [3]
 
 
 def test_worker_count_env_parsing(monkeypatch):

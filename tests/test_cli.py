@@ -119,6 +119,32 @@ def test_quantile_flag_validation(capsys):
     assert doc["payload"]["x"] == pytest.approx(2 + 0.5 * z, rel=1e-10)
 
 
+def test_quantile_return_period_far_tail(capsys):
+    base = ["quantile", "--family", "gumbel", "--a", "0", "--b", "1"]
+    assert main(base + ["--return-period", "1e17"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _validate(doc)
+    # -log(-log1p(-1e-17)) = 17 log 10, to within 1e-17
+    assert doc["payload"]["x"] == pytest.approx(17 * np.log(10.0), rel=1e-14)
+    assert main(["quantile", "--family", "lognormal", "--a", "0", "--b", "1",
+                 "--c", "1", "--return-period", "1e20"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["payload"]["x"] > 1.0 + np.exp(9.0)
+    for bad in ("1", "0", "-5", "inf"):
+        assert main(base + ["--return-period", bad]) == 2
+        assert "return period" in capsys.readouterr().err
+
+
+def test_fit_rejects_lognormal_family(values_csv, capsys):
+    for name in ("lognormal", "lognormal3", "log-normal"):
+        for method in ("ols", "gls", "mle"):
+            assert main(["fit", "--input", values_csv, "--family", name,
+                         "--method", method]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "ppbench bradyseism" in captured.err
+
+
 def test_quantile_f_level_equivalence(capsys):
     base = ["quantile", "--family", "normal", "--a", "0", "--b", "1"]
     assert main(base + ["--f-level", "0.99"]) == 0

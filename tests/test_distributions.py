@@ -15,6 +15,8 @@ from ppbench import (
     quantile,
     quantile_derivative,
     reduced,
+    reduced_return_quantile,
+    return_level,
     sample,
 )
 
@@ -163,3 +165,35 @@ def test_lognormal3_sampling_respects_threshold():
     d = DistributionSpec("lognormal3", a=-0.5, b=0.7, c=1.0)
     s = sample(d, 5000, 11)
     assert np.all(s > 1.0)
+
+
+def _mp_return_quantile(family, T):
+    """Q(1 - 1/T) to 30 digits; 1 - 1/T is formed in 60-digit arithmetic."""
+    with mp.workdps(60):
+        p = 1 - 1 / mp.mpf(T)
+        if family == "gumbel":
+            z = -mp.log(-mp.log(p))
+        else:
+            z = mp.sqrt(2) * mp.erfinv(2 * p - 1)
+    with mp.workdps(30):
+        return float(+z)
+
+
+@pytest.mark.parametrize("T", [1e2, 1e15, 1e17, 1e20])
+@pytest.mark.parametrize("family", ["gumbel", "normal", "lognormal3"])
+def test_reduced_return_quantile_matches_mpmath(family, T):
+    ref = _mp_return_quantile("gumbel" if family == "gumbel" else "normal", T)
+    assert reduced_return_quantile(family, T) == pytest.approx(ref, rel=1e-14)
+    d = DistributionSpec(family, a=2.0, b=0.5, c=1.0)
+    want = 1.0 + math.exp(2.0 + 0.5 * ref) if family == "lognormal3" else 2.0 + 0.5 * ref
+    assert return_level(d, T) == pytest.approx(want, rel=1e-13)
+
+
+def test_reduced_return_quantile_vectorized_and_domain():
+    T = np.array([10.0, 1e3, 1e18])
+    got = reduced_return_quantile("gumbel", T)
+    assert got.shape == (3,)
+    assert got[0] == reduced_return_quantile("gumbel", 10.0)
+    for bad in (1.0, 0.5, -3.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            reduced_return_quantile("normal", bad)

@@ -153,6 +153,17 @@ def test_predict_quantile_return_period():
         predict_quantile(fit, 0.5)
 
 
+def test_predict_quantile_far_tail():
+    # 1 - 1/T loses digits near T = 1e15 and rounds to 1 from about 1e16
+    fit = fit_ols(np.arange(1.0, 6.0), np.arange(1.0, 6.0), family="gumbel")
+    assert (fit.a_hat, fit.b_hat) == pytest.approx((0.0, 1.0), abs=1e-12)
+    est = predict_quantile(fit, 1e15)
+    assert est.x_T_hat == pytest.approx(34.538776394910684, rel=1e-13)
+    est = predict_quantile(fit, 1e17)
+    assert est.x_T_hat == pytest.approx(39.14394658089878, rel=1e-13)
+    assert est.F_level == 1.0
+
+
 def test_exceedance_probability_consistency():
     y = _design("gumbel", 20)
     fit = fit_ols(np.sort(2.0 + 0.5 * y), y, family="gumbel")

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
+from ppbench import order_stats
 from ppbench import (
     BetaOrderLaw,
     OrderStatMoments,
     build_moments,
     ensure_spd,
     exact_cov,
+    QuadratureError,
     exact_mean,
     expansion_cov,
     expansion_mean,
@@ -63,7 +66,7 @@ def test_normal_order_means_are_antisymmetric():
 
 
 def test_normal_pair_covariance_is_inverse_pi():
-    assert exact_cov("normal", 1, 2, 2) == pytest.approx(1 / math.pi, abs=1e-6)
+    assert exact_cov("normal", 1, 2, 2) == pytest.approx(1 / math.pi, abs=1e-9)
 
 
 def test_normal_pair_variance():
@@ -71,7 +74,7 @@ def test_normal_pair_variance():
 
 
 def test_gumbel_pair_covariance_is_log_two_squared():
-    assert exact_cov("gumbel", 1, 2, 2) == pytest.approx(math.log(2) ** 2, abs=1e-6)
+    assert exact_cov("gumbel", 1, 2, 2) == pytest.approx(math.log(2) ** 2, abs=1e-9)
 
 
 def test_gumbel_pair_variances():
@@ -85,6 +88,105 @@ def test_gumbel_pair_variances():
 
 def test_exact_cov_symmetric_in_ranks():
     assert exact_cov("normal", 2, 4, 6) == exact_cov("normal", 4, 2, 6)
+
+
+# --- the joint-moment quadrature behind the exact off-diagonal covariance ----
+
+VAR_Z = {"normal": 1.0, "gumbel": math.pi**2 / 6}
+
+
+def _exact_v(family, n):
+    return np.array(
+        [[exact_cov(family, i, j, n) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_cov_total_is_n_times_parent_variance(family, n):
+    # the order statistics sum to the sample total, whose variance is n Var(Z)
+    assert _exact_v(family, n).sum() == pytest.approx(n * VAR_Z[family], abs=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_exact_cov_normal_rows_and_reflection(n):
+    V = _exact_v("normal", n)
+    # Z_(i) - mean is independent of the mean, so Cov(Z_(i), sum Z) = Var(Z) = 1
+    np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-8)
+    # the normal is symmetric: V[i, j] = V[n+1-j, n+1-i]
+    np.testing.assert_allclose(V, V[::-1, ::-1].T, rtol=0, atol=1e-12)
+
+
+def _dblquad_joint_moment(family, i, j, n):
+    """E[Z_i Z_j] by adaptive double quadrature of a scalar joint density.
+
+    A transcription of the earlier exact route, kept as the reference the
+    fixed-node quadrature is checked against.
+    """
+    if family == "gumbel":
+        # exp(-z) overflows far in the left tail, where F and f are 0
+        def cdf(z):
+            return math.exp(-math.exp(-z)) if z > -700 else 0.0
+
+        def pdf(z):
+            return math.exp(-z - math.exp(-z)) if z > -700 else 0.0
+    else:
+        cdf = special.ndtr
+
+        def pdf(z):
+            return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+
+    logc = (special.gammaln(n + 1) - special.gammaln(i) - special.gammaln(j - i)
+            - special.gammaln(n - j + 1))
+
+    def joint(z2, z1):
+        F1, F2, f1, f2 = cdf(z1), cdf(z2), pdf(z1), pdf(z2)
+        if f1 == 0.0 or f2 == 0.0:
+            return 0.0
+        logd = logc + math.log(f1) + math.log(f2)
+        if i > 1:
+            if F1 <= 0.0:
+                return 0.0
+            logd += (i - 1) * math.log(F1)
+        if j - i > 1:
+            if F2 - F1 <= 0.0:
+                return 0.0
+            logd += (j - i - 1) * math.log(F2 - F1)
+        if n - j > 0:
+            if F2 >= 1.0:
+                return 0.0
+            logd += (n - j) * math.log1p(-F2)
+        return z1 * z2 * math.exp(logd)
+
+    val, _ = integrate.dblquad(
+        joint, -np.inf, np.inf, lambda z1: z1, np.inf, epsabs=1e-10, epsrel=1e-10
+    )
+    return val
+
+
+@pytest.mark.parametrize("family,i,j", [
+    ("normal", 1, 2), ("normal", 2, 4), ("gumbel", 1, 5), ("gumbel", 3, 4),
+])
+def test_exact_cov_matches_adaptive_double_quadrature(family, i, j):
+    n = 5
+    got = exact_cov(family, i, j, n) + exact_mean(family, i, n) * exact_mean(family, j, n)
+    assert got == pytest.approx(_dblquad_joint_moment(family, i, j, n), abs=1e-9)
+
+
+@pytest.fixture
+def cold_exact_cov():
+    order_stats._exact_joint_moments.cache_clear()
+    exact_cov.cache_clear()
+    yield
+    order_stats._exact_joint_moments.cache_clear()
+    exact_cov.cache_clear()
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_cov_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
+    monkeypatch.setattr(order_stats, "_COV_STEP_S", 0.4)
+    with pytest.raises(QuadratureError):
+        exact_cov(family, 1, 2, 4)
 
 
 def test_exact_mean_guards():

@@ -7,6 +7,7 @@ from .distributions import (
     GUMBEL,
     LOGNORMAL3,
     NORMAL,
+    DegenerateSampleError,
     DistributionSpec,
     DomainError,
     canonical_family,
@@ -27,7 +28,6 @@ from .order_stats import (
     EXACT,
     EXPANSION,
     IDENTITY,
-    BetaOrderLaw,
     OrderStatMoments,
     QuadratureError,
     build_moments,
@@ -55,7 +55,6 @@ from .estimation import (
     GLS,
     MLE,
     OLS,
-    DegenerateSampleError,
     FitResult,
     NonConvergenceError,
     QuantileEstimate,
@@ -63,6 +62,8 @@ from .estimation import (
     fit_gls,
     fit_mle,
     fit_ols,
+    mle_batch,
+    ols_batch,
     predict_quantile,
 )
 from .benchmark import (
@@ -74,9 +75,6 @@ from .benchmark import (
     ExperimentConfig,
     default_f_grid,
     dse,
-    ifse,
-    iqse,
-    qse_curve,
     replicate_key,
     rm_index,
     run_suite,

@@ -13,6 +13,11 @@ Three parameter-free indices are computed per estimator:
 All simulation runs on the reduced parent (location 0, scale 1): the fitted
 intercept and slope errors are parameter-free for location-scale families,
 so one run covers every (a, b).
+
+Each replicate chunk is fitted by the same batch kernels that the library's
+scalar fits call, ``estimation.ols_batch`` and ``estimation.mle_batch``, so
+a benchmark row measures exactly the estimator that ``fit_ols`` and
+``fit_mle`` compute.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .distributions import (
     reduced_quantile,
     sample,
 )
-from .estimation import OLS
+from .estimation import OLS, mle_batch, ols_batch
 from .order_stats import exact_mean
 from .positions import EUPP_ID, PositionFormula, make_formula, positions_for
 
@@ -176,46 +181,10 @@ def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> n
     return out
 
 
-def _ols_batch(X: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    zc = z - z.mean()
-    denom = float(zc @ zc)
-    b = X @ (zc / denom)
-    a = X.mean(axis=1) - b * z.mean()
-    return a, b
-
-
-def _normal_mle_batch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = X.mean(axis=1)
-    b = X.std(axis=1)
-    return a, b, b > 0.0
-
-
-def _gumbel_mle_batch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xbar = X.mean(axis=1)
-    s = X.std(axis=1)
-    ok = s > 0.0
-    b = np.where(ok, s, 1.0) * np.sqrt(6.0) / np.pi
-    xmax = X.max(axis=1)
-    Xs = X - xmax[:, None]
-    delta = np.full(X.shape[0], np.inf)
-    for _ in range(200):
-        W = np.exp(-Xs / b[:, None])
-        S0 = W.sum(axis=1)
-        S1 = (X * W).sum(axis=1)
-        S2 = (X * X * W).sum(axis=1)
-        r1 = S1 / S0
-        g = b - xbar + r1
-        gp = 1.0 + (S2 / S0 - r1 * r1) / (b * b)
-        b_new = b - g / gp
-        b_new = np.where(b_new > 0.0, b_new, 0.5 * b)
-        delta = np.abs(b_new - b)
-        b = b_new
-        if delta.max() < 1e-12:
-            break
-    converged = ok & (delta < 1e-8) & np.isfinite(b) & (b > 0.0)
-    W = np.exp(-Xs / b[:, None])
-    a = xmax - b * np.log(W.mean(axis=1))
-    return a, b, converged
+def _with_kept(a: np.ndarray, b: np.ndarray, converged=True):
+    # a replicate is kept when its fit is finite with a positive slope (and,
+    # for an iterative fit, converged)
+    return a, b, np.isfinite(a) & np.isfinite(b) & (b > 0.0) & converged
 
 
 def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
@@ -231,14 +200,10 @@ def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
     def work(start: int):
         count = min(_CHUNK, M - start)
         X = _sorted_samples(cfg.family, cfg.seed, start, count, n)
-        chunk = {}
-        for key, z in design.items():
-            chunk[key] = _ols_batch(X, z)
+        chunk = {key: _with_kept(*ols_batch(X, z)) for key, z in design.items()}
         if cfg.include_mle:
-            if cfg.family == GUMBEL:
-                chunk[MLE_KEY] = _gumbel_mle_batch(X)
-            else:
-                chunk[MLE_KEY] = _normal_mle_batch(X)
+            a, b, converged, _ = mle_batch(X, cfg.family)
+            chunk[MLE_KEY] = _with_kept(a, b, converged)
         return chunk
 
     # more threads than chunks would only sit idle
@@ -252,11 +217,7 @@ def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
     out: dict[str, EstimatorParams] = {}
     keys = list(design) + ([MLE_KEY] if cfg.include_mle else [])
     for key in keys:
-        a = np.concatenate([np.atleast_1d(c[key][0]) for c in chunks])
-        b = np.concatenate([np.atleast_1d(c[key][1]) for c in chunks])
-        kept = np.isfinite(a) & np.isfinite(b) & (b > 0.0)
-        if len(chunks[0][key]) == 3:
-            kept &= np.concatenate([np.atleast_1d(c[key][2]) for c in chunks])
+        a, b, kept = (np.concatenate([c[key][k] for c in chunks]) for k in range(3))
         out[key] = EstimatorParams(a=a, b=b, kept=kept)
     return out
 
@@ -284,59 +245,6 @@ def _ifse_values(
         Fhat = reduced_cdf(family, Z)
         vals[lo:hi] = ((Fhat - grid[None, :]) ** 2) @ w
     return vals
-
-
-def qse_curve(cfg: ExperimentConfig, f: FormulaLike) -> np.ndarray:
-    """Mean squared quantile error per grid node for one position formula.
-
-    The fitted line on the reduced parent is a + b z; its error at level F
-    is a + (b - 1) z_F, so the curve is a quadratic in z_F with coefficients
-    given by second moments of the fitted parameters.
-    """
-    single = ExperimentConfig(
-        family=cfg.family,
-        n=cfg.n,
-        replicates=cfg.replicates,
-        seed=cfg.seed,
-        formulas=[f if isinstance(f, PositionFormula) else make_formula(f, family=cfg.family)],
-        f_grid=cfg.f_grid,
-        include_mle=False,
-    )
-    params = next(iter(_collect_params(single).values()))
-    a = params.a[params.kept]
-    e = params.b[params.kept] - 1.0
-    zg = reduced_quantile(cfg.family, cfg.f_grid)
-    m_aa = float(np.mean(a * a))
-    m_ae = float(np.mean(a * e))
-    m_ee = float(np.mean(e * e))
-    return m_aa + 2.0 * m_ae * zg + m_ee * zg * zg
-
-
-def iqse(curve: np.ndarray, f_grid: np.ndarray) -> float:
-    """Trapezoid integral of a squared-error curve over the grid."""
-    curve = np.asarray(curve, dtype=float)
-    f_grid = np.asarray(f_grid, dtype=float)
-    if curve.shape != f_grid.shape:
-        raise ValueError("curve and grid must share a shape")
-    return float(curve @ _trapezoid_weights(f_grid))
-
-
-def ifse(cfg: ExperimentConfig, f: FormulaLike) -> float:
-    """Mean integrated squared CDF error for one position formula."""
-    single = ExperimentConfig(
-        family=cfg.family,
-        n=cfg.n,
-        replicates=cfg.replicates,
-        seed=cfg.seed,
-        formulas=[f if isinstance(f, PositionFormula) else make_formula(f, family=cfg.family)],
-        f_grid=cfg.f_grid,
-        include_mle=False,
-    )
-    params = next(iter(_collect_params(single).values()))
-    zg = reduced_quantile(cfg.family, cfg.f_grid)
-    w = _trapezoid_weights(cfg.f_grid)
-    vals = _ifse_values(params, cfg.family, cfg.f_grid, zg, w)
-    return float(vals.mean())
 
 
 def dse(family: str, n: int, f: FormulaLike) -> float:

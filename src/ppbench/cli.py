@@ -33,6 +33,7 @@ from .distributions import (
     DistributionSpec,
     canonical_family,
     quantile,
+    reduced_quantile,
     return_level,
 )
 from .estimation import GLS, MLE, OLS, fit_gls, fit_mle, fit_ols
@@ -116,34 +117,48 @@ def _cmd_positions(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _fit_family(args) -> str:
+    """Canonical --family of fit and plot; the log family is a usage error."""
     family = canonical_family(args.family)
     if family == LOGNORMAL3:
         # fitting the raw values on normal paper would mislabel a normal fit
         raise UsageError(
-            "fit does not support the log family: it needs a threshold c and "
+            "%s does not support the log family: it needs a threshold c and "
             "the log(x - c) transform; use `ppbench bradyseism`, or fit "
-            "log(x - c) with --family normal"
+            "log(x - c) with --family normal" % args.command
         )
-    x = np.sort(_read_values(args.input))
-    method = args.method
-    if method == MLE:
-        fit = fit_mle(x, family)
-        formula_label = None
-    elif method == GLS:
-        moments = build_moments(family, int(x.size), k=args.k, cov_mode=args.cov_mode)
-        fit = fit_gls(x, moments)
-        formula_label = "expected order statistics (k=%d, %s)" % (args.k, args.cov_mode)
-    else:
-        f = make_formula(args.formula, family=family, k=args.k)
-        ps = positions_for(f, int(x.size), family=family)
-        from .distributions import reduced_quantile
+    return family
 
-        fit = fit_ols(x, np.asarray(reduced_quantile(family, ps.p)), family=family)
-        formula_label = f.label
+
+def _formula_design(x: np.ndarray, family: str, args):
+    """Reduced-variate ordinates of the --formula positions, and the formula's label."""
+    f = make_formula(args.formula, family=family, k=args.k)
+    ps = positions_for(f, int(x.size), family=family)
+    return np.asarray(reduced_quantile(family, ps.p)), f.label
+
+
+def _fit(x: np.ndarray, family: str, args, cov_mode: str):
+    """Fit sorted x by --method: the fit, its design ordinates and their label.
+
+    The likelihood fit has no design; it returns None for both.
+    """
+    if args.method == MLE:
+        return fit_mle(x, family), None, None
+    if args.method == GLS:
+        moments = build_moments(family, int(x.size), k=args.k, cov_mode=cov_mode)
+        label = "expected order statistics (k=%d, %s)" % (args.k, cov_mode)
+        return fit_gls(x, moments), moments.y, label
+    y, label = _formula_design(x, family, args)
+    return fit_ols(x, y, family=family), y, label
+
+
+def _cmd_fit(args) -> int:
+    family = _fit_family(args)
+    x = np.sort(_read_values(args.input))
+    fit, _, formula_label = _fit(x, family, args, args.cov_mode)
     payload = {
         "family": family,
-        "method": method,
+        "method": args.method,
         "formula": formula_label,
         "n": int(x.size),
         "a_hat": fit.a_hat,
@@ -261,21 +276,13 @@ def _cmd_bradyseism(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    family = canonical_family(args.family)
+    family = _fit_family(args)
     x = np.sort(_read_values(args.input))
-    f = make_formula(args.formula, family=family, k=args.k)
-    ps = positions_for(f, int(x.size), family=family)
-    from .distributions import reduced_quantile
-
-    y = np.asarray(reduced_quantile(family, ps.p))
-    line = None
-    if not args.no_fit:
-        if args.method == GLS:
-            moments = build_moments(family, int(x.size), k=args.k, cov_mode=EXPANSION)
-            fit = fit_gls(x, moments)
-            y = moments.y
-        else:
-            fit = fit_ols(x, y, family=family)
+    if args.no_fit:
+        y, _ = _formula_design(x, family, args)
+        line = None
+    else:
+        fit, y, _ = _fit(x, family, args, EXPANSION)
         line = (fit.a_hat, fit.b_hat)
     spec = PlotSpec(
         title=args.title or ("%s probability paper, n=%d" % (family, x.size)),

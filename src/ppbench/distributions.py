@@ -45,6 +45,10 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the operation."""
 
 
+class DegenerateSampleError(ValueError):
+    """The sample carries no scale information (all values equal, etc.)."""
+
+
 def canonical_family(name: str) -> str:
     """Normalize a family name, accepting common aliases."""
     try:
@@ -77,10 +81,6 @@ class DistributionSpec:
             raise ValueError("location and scale must be finite")
         if self.b <= 0.0:
             raise ValueError("scale must be positive, got %g" % self.b)
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.a == 0.0 and self.b == 1.0 and self.c == 0.0
 
 
 def reduced(family: str) -> DistributionSpec:

@@ -8,11 +8,15 @@ least squares whitens with the Cholesky factor of their covariance and is
 the best linear unbiased estimator when the design moments are right.
 
 A maximum-likelihood fit is included as the non-graphical baseline.
+
+Each estimator has one kernel: ``ols_batch`` and ``mle_batch`` fit every row
+of a sample matrix at once. The Monte Carlo engine in ``benchmark`` calls
+them on a chunk of replicates, and ``fit_ols`` and ``fit_mle`` call them on
+one row, so the library and the benchmark share the same fit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -22,6 +26,7 @@ from scipy.linalg import solve_triangular
 from .distributions import (
     GUMBEL,
     NORMAL,
+    DegenerateSampleError,
     DistributionSpec,
     canonical_family,
     cdf,
@@ -35,11 +40,8 @@ MLE = "mle"
 METHODS = (OLS, GLS, MLE)
 
 MLE_MAX_ITER = 200
-MLE_TOL = 1e-10
-
-
-class DegenerateSampleError(ValueError):
-    """The sample carries no scale information (all values equal, etc.)."""
+MLE_TOL = 1e-12  # the Newton loop stops once every row's step is below this
+MLE_CONVERGED_TOL = 1e-8  # a row whose last step exceeds this did not converge
 
 
 class NonConvergenceError(RuntimeError):
@@ -71,7 +73,9 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("inputs must be one-dimensional")
     if x.shape != y.shape:
-        raise ValueError("observations and design must have equal length")
+        raise ValueError(
+            "%d observations against a design of %d ordinates" % (x.size, y.size)
+        )
     if x.size < 3:
         raise ValueError("need at least three points to fit a line")
     if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
@@ -79,15 +83,21 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def ols_batch(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """OLS of each row of X (sorted samples) on one design y: intercepts, slopes."""
+    yc = y - y.mean()
+    denom = float(yc @ yc)
+    b = X @ (yc / denom)
+    a = X.mean(axis=1) - b * y.mean()
+    return a, b
+
+
 def fit_ols(x_sorted, design_y, family: str = NORMAL) -> FitResult:
     """Ordinary least squares of sorted observations on design ordinates."""
     x, y = _check_xy(x_sorted, design_y)
-    yc = y - y.mean()
-    denom = float(yc @ yc)
-    if denom <= 0.0:
+    if np.all(y == y[0]):
         raise DegenerateSampleError("design ordinates are constant")
-    b = float(yc @ x) / denom
-    a = float(x.mean() - b * y.mean())
+    a, b = (float(v[0]) for v in ols_batch(x[None, :], y))
     resid = x - (a + b * y)
     return FitResult(
         a_hat=a,
@@ -102,32 +112,14 @@ def fit_ols(x_sorted, design_y, family: str = NORMAL) -> FitResult:
 def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
     """Generalized least squares against precomputed order-statistic moments.
 
-    Solves the whitened normal equations through the Cholesky factor of the
-    covariance; the covariance inverse is never formed explicitly.
+    Solves the whitened normal equations through the Cholesky factor
+    ``moments.L`` of the covariance; the covariance inverse is never formed
+    explicitly.
     """
-    x = np.asarray(x_sorted, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("observations must be one-dimensional")
-    if x.shape != moments.y.shape:
-        raise ValueError(
-            "sample size %d does not match moments for n=%d" % (x.size, moments.n)
-        )
-    if x.size < 3:
-        raise ValueError("need at least three points to fit a line")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("observations must be finite")
-
-    y = moments.y
-    try:
-        L = np.linalg.cholesky(moments.V)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "covariance is not positive definite; rebuild moments"
-        ) from exc
-
+    x, y = _check_xy(x_sorted, moments.y)
     A = np.column_stack([np.ones_like(y), y])
-    Aw = solve_triangular(L, A, lower=True)
-    xw = solve_triangular(L, x, lower=True)
+    Aw = solve_triangular(moments.L, A, lower=True)
+    xw = solve_triangular(moments.L, x, lower=True)
     theta, _, rank, _ = np.linalg.lstsq(Aw, xw, rcond=None)
     if rank < 2:
         raise DegenerateSampleError("design ordinates are constant")
@@ -144,41 +136,50 @@ def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
     )
 
 
-def _gumbel_mle(x: np.ndarray) -> tuple[float, float, int]:
-    # Newton iteration on the profile-likelihood scale equation
-    #   g(b) = b - mean(x) + S1(b) / S0(b) = 0,
-    # with S_k(b) = sum(x^k * exp(-x / b)). The shifted weights keep the
-    # exponentials bounded; g is increasing in b so Newton from a moment
-    # start converges fast.
-    xbar = float(x.mean())
-    s = float(x.std())
-    if s == 0.0:
-        raise DegenerateSampleError("all observations are equal")
-    b = s * math.sqrt(6.0) / math.pi
-    xmax = float(x.max())
+def mle_batch(X: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Maximum likelihood for each row of X: intercepts, slopes, converged mask, iterations.
+
+    The normal fit is the closed form (mean and the divisor-n sd). The
+    Gumbel fit runs Newton on the profile-likelihood scale equation
+      g(b) = b - mean(x) + S1(b) / S0(b) = 0,
+    with S_k(b) = sum(x^k * exp(-(x - max x) / b)), for all rows at once; the
+    shift keeps the exponentials bounded, and g is increasing in b, so Newton
+    from a moment start converges fast. A row with zero spread, a non-finite
+    or non-positive scale, or a last step above MLE_CONVERGED_TOL is flagged
+    as not converged.
+    """
+    family = canonical_family(family)
+    if family == NORMAL:
+        a = X.mean(axis=1)
+        b = X.std(axis=1)
+        return a, b, b > 0.0, 0
+    if family != GUMBEL:
+        raise ValueError("maximum likelihood supports the gumbel and normal families")
+    xbar = X.mean(axis=1)
+    s = X.std(axis=1)
+    ok = s > 0.0
+    b = np.where(ok, s, 1.0) * np.sqrt(6.0) / np.pi
+    xmax = X.max(axis=1)
+    Xs = X - xmax[:, None]
+    delta = np.full(X.shape[0], np.inf)
     for it in range(1, MLE_MAX_ITER + 1):
-        w = np.exp(-(x - xmax) / b)
-        s0 = float(w.sum())
-        s1 = float((x * w).sum())
-        s2 = float((x * x * w).sum())
-        r1 = s1 / s0
+        W = np.exp(-Xs / b[:, None])
+        S0 = W.sum(axis=1)
+        S1 = (X * W).sum(axis=1)
+        S2 = (X * X * W).sum(axis=1)
+        r1 = S1 / S0
         g = b - xbar + r1
-        gp = 1.0 + (s2 / s0 - r1 * r1) / (b * b)
-        step = g / gp
-        b_new = b - step
-        if b_new <= 0.0:
-            b_new = b / 2.0
-        if abs(b_new - b) < MLE_TOL:
-            b = b_new
-            break
+        gp = 1.0 + (S2 / S0 - r1 * r1) / (b * b)
+        b_new = b - g / gp
+        b_new = np.where(b_new > 0.0, b_new, 0.5 * b)
+        delta = np.abs(b_new - b)
         b = b_new
-    else:
-        raise NonConvergenceError(
-            "scale iteration did not converge in %d steps" % MLE_MAX_ITER
-        )
-    w = np.exp(-(x - xmax) / b)
-    a = xmax - b * math.log(float(w.mean()))
-    return a, b, it
+        if delta.max() < MLE_TOL:
+            break
+    converged = ok & (delta < MLE_CONVERGED_TOL) & np.isfinite(b) & (b > 0.0)
+    W = np.exp(-Xs / b[:, None])
+    a = xmax - b * np.log(W.mean(axis=1))
+    return a, b, converged, it
 
 
 def fit_mle(x, family: str) -> FitResult:
@@ -189,17 +190,17 @@ def fit_mle(x, family: str) -> FitResult:
         raise ValueError("need a one-dimensional sample of size >= 2")
     if not np.all(np.isfinite(x)):
         raise ValueError("observations must be finite")
+    if float(x.std()) == 0.0:
+        raise DegenerateSampleError("all observations are equal")
 
-    if family == NORMAL:
-        if float(x.std()) == 0.0:
-            raise DegenerateSampleError("all observations are equal")
-        a = float(x.mean())
-        b = float(x.std())  # divisor n, the ML variant
-        return FitResult(a_hat=a, b_hat=b, method=MLE, family=family)
-    if family == GUMBEL:
-        a, b, it = _gumbel_mle(x)
-        return FitResult(a_hat=a, b_hat=b, method=MLE, family=family, iterations=it)
-    raise ValueError("maximum likelihood supports the gumbel and normal families")
+    a, b, converged, it = mle_batch(x[None, :], family)
+    if not converged[0]:
+        raise NonConvergenceError(
+            "scale iteration did not converge in %d steps" % MLE_MAX_ITER
+        )
+    return FitResult(
+        a_hat=float(a[0]), b_hat=float(b[0]), method=MLE, family=family, iterations=it
+    )
 
 
 def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:

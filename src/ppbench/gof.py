@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import NORMAL, canonical_family
+from .distributions import NORMAL, DegenerateSampleError, canonical_family
 
 PASS_5PCT = "pass_5pct"
 PASS_2_5PCT = "pass_2_5pct"
@@ -24,10 +24,6 @@ CRITICAL_5PCT = 0.787
 CRITICAL_2_5PCT = 0.918
 
 _MIN_N = 5
-
-
-class DegenerateSampleError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

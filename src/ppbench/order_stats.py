@@ -69,34 +69,6 @@ def _check_indices(i, n: int) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class BetaOrderLaw:
-    """Distribution of the i-th of N uniform order statistics."""
-
-    i: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_indices(self.i, self.n)
-
-    @property
-    def shape_a(self) -> int:
-        return self.i
-
-    @property
-    def shape_b(self) -> int:
-        return self.n - self.i + 1
-
-    @property
-    def mean(self) -> float:
-        return self.i / (self.n + 1.0)
-
-    @property
-    def variance(self) -> float:
-        mu = self.mean
-        return mu * (1.0 - mu) / (self.n + 2.0)
-
-
 def expansion_mean(family: str, i, n: int, k: int = 4):
     """Approximate E of the i-th reduced order statistic, truncation level k.
 
@@ -335,18 +307,17 @@ def exact_cov(family: str, i: int, j: int, n: int) -> float:
     return joint - exact_mean(family, i, n) * exact_mean(family, j, n)
 
 
-def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return an SPD-repaired copy of V and the diagonal shift that was added.
+def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Return an SPD-repaired copy of V, its lower Cholesky factor and the shift added.
 
-    The shift starts at RIDGE_UNIT * trace(V)/N and doubles until Cholesky
-    succeeds; 0.0 means the matrix was already positive definite.
+    The diagonal shift starts at RIDGE_UNIT * trace(V)/N and doubles until
+    Cholesky succeeds; 0.0 means the matrix was already positive definite.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise ValueError("covariance must be a square matrix")
     try:
-        np.linalg.cholesky(V)
-        return V, 0.0
+        return V, np.linalg.cholesky(V), 0.0
     except np.linalg.LinAlgError:
         pass
     base = RIDGE_UNIT * float(np.trace(V)) / V.shape[0]
@@ -354,9 +325,9 @@ def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, float]:
         base = RIDGE_UNIT
     delta = base
     for _ in range(80):
+        repaired = V + delta * np.eye(V.shape[0])
         try:
-            np.linalg.cholesky(V + delta * np.eye(V.shape[0]))
-            return V + delta * np.eye(V.shape[0]), delta
+            return repaired, np.linalg.cholesky(repaired), delta
         except np.linalg.LinAlgError:
             delta *= 2.0
     raise np.linalg.LinAlgError("could not repair covariance to positive definite")
@@ -364,7 +335,11 @@ def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class OrderStatMoments:
-    """Mean vector and covariance matrix of reduced order statistics."""
+    """Mean vector and covariance matrix of reduced order statistics.
+
+    L is the lower Cholesky factor of V that ensure_spd computed, so a GLS
+    fit whitens with it instead of factoring V again.
+    """
 
     family: str
     n: int
@@ -372,6 +347,7 @@ class OrderStatMoments:
     cov_mode: str
     y: np.ndarray = field(repr=False)
     V: np.ndarray = field(repr=False)
+    L: np.ndarray = field(repr=False)
     ridge: float = 0.0
 
 
@@ -410,5 +386,7 @@ def build_moments(
         else:
             V = expansion_cov(family, r[:, None], r, n)
 
-    V, ridge = ensure_spd(V)
-    return OrderStatMoments(family=family, n=n, k=k, cov_mode=cov_mode, y=y, V=V, ridge=ridge)
+    V, L, ridge = ensure_spd(V)
+    return OrderStatMoments(
+        family=family, n=n, k=k, cov_mode=cov_mode, y=y, V=V, L=L, ridge=ridge
+    )

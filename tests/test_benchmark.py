@@ -7,13 +7,13 @@ from ppbench import (
     ExperimentConfig,
     default_f_grid,
     dse,
-    ifse,
-    iqse,
     make_formula,
-    qse_curve,
+    positions_for,
+    reduced,
     replicate_key,
     rm_index,
     run_suite,
+    sample,
 )
 from ppbench import benchmark
 from ppbench.benchmark import MLE_KEY, THREADS_ENV, _trapezoid_weights, _worker_count
@@ -165,24 +165,34 @@ def test_seed_changes_results():
     assert r1.row("weibull").iqse != r2.row("weibull").iqse
 
 
-def test_iqse_from_curve_matches_suite_row():
-    # the suite averages per-replicate integrals; integrating the averaged
-    # curve must agree by linearity of both operations
+def test_suite_rows_match_independent_oracle():
+    # every replicate is regenerated from its own key and fitted by lstsq;
+    # both error curves are evaluated node by node with the Gumbel closed
+    # forms and integrated with a trapezoid rule written out here
     cfg = _small_cfg()
     rep = run_suite(cfg)
-    curve = qse_curve(cfg, "blom")
-    assert iqse(curve, cfg.f_grid) == pytest.approx(rep.row("blom").iqse, rel=1e-9)
+    n, M = cfg.n, cfg.replicates
+    X = np.sort([sample(reduced("gumbel"), n, replicate_key(DEFAULT_SEED, m))
+                 for m in range(M)], axis=1)
+    F = default_f_grid()
+    zF = -np.log(-np.log(F))
+    half_steps = 0.5 * np.diff(F)
 
+    def integrate(curves):
+        return (curves[:, 1:] + curves[:, :-1]) @ half_steps
 
-def test_ifse_matches_suite_row():
-    cfg = _small_cfg()
-    rep = run_suite(cfg)
-    assert ifse(cfg, "weibull") == pytest.approx(rep.row("weibull").ifse, rel=1e-12)
-
-
-def test_iqse_shape_guard():
-    with pytest.raises(ValueError):
-        iqse(np.zeros(5), np.linspace(0.1, 0.9, 7))
+    for label in ("weibull", "blom"):
+        p = positions_for(label, n, family="gumbel").p
+        design = np.column_stack([np.ones(n), -np.log(-np.log(p))])
+        (a, b), *_ = np.linalg.lstsq(design, X.T, rcond=None)
+        qse = (a[:, None] + (b[:, None] - 1.0) * zF) ** 2
+        fse = (np.exp(-np.exp(-(zF - a[:, None]) / b[:, None])) - F) ** 2
+        row = rep.row(label)
+        assert row.discarded == 0
+        for vals, mean, se in ((integrate(qse), row.iqse, row.iqse_se),
+                               (integrate(fse), row.ifse, row.ifse_se)):
+            assert mean == pytest.approx(vals.mean(), rel=1e-12)
+            assert se == pytest.approx(vals.std(ddof=1) / np.sqrt(M), rel=1e-12)
 
 
 def test_dse_deterministic_and_family_checked():

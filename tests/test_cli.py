@@ -231,6 +231,18 @@ def test_plot_command(values_csv, tmp_path, capsys):
     assert 'class="fit"' not in out.read_text()
 
 
+def test_plot_rejects_lognormal_family(values_csv, tmp_path, capsys):
+    out = tmp_path / "chart.svg"
+    for name in ("lognormal", "lognormal3", "log-normal", "log-normal3"):
+        for extra in ([], ["--no-fit"], ["--method", "gls"]):
+            assert main(["plot", "--input", values_csv, "--family", name,
+                         "--out", str(out)] + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "plot does not support the log family" in captured.err
+    assert not out.exists()
+
+
 def test_computation_error_exit_code(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     path.write_text("value\n" + "1.0\n" * 10)

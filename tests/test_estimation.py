@@ -4,6 +4,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppbench
 from ppbench import (
     DegenerateSampleError,
     DistributionSpec,
@@ -13,6 +14,9 @@ from ppbench import (
     fit_gls,
     fit_mle,
     fit_ols,
+    mad_case3,
+    mle_batch,
+    ols_batch,
     positions_for,
     predict_quantile,
     proposed_positions,
@@ -114,6 +118,47 @@ def test_fit_degenerate_sample():
         fit_mle(np.full(5, 2.0), "normal")
     with pytest.raises(DegenerateSampleError):
         fit_mle(np.full(5, 2.0), "gumbel")
+
+
+def test_one_degenerate_sample_class_across_modules():
+    with pytest.raises(ppbench.DegenerateSampleError):
+        mad_case3(np.full(5, 2.0))
+    with pytest.raises(ppbench.DegenerateSampleError):
+        fit_mle(np.full(5, 2.0), "gumbel")
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_scalar_fits_are_one_row_of_the_batch_kernels(family):
+    # the library fits and the Monte Carlo engine share one kernel: a scalar
+    # fit is bitwise a one-row batch call, and a row of a larger batch agrees
+    # to rounding (the batch stops once all rows meet the step tolerance)
+    X = np.sort([sample(DistributionSpec(family, 3.0, 2.0), 12, s) for s in range(8)], axis=1)
+    y = _design(family, 12)
+    a, b = ols_batch(X, y)
+    am, bm, converged, _ = mle_batch(X, family)
+    assert converged.all()
+    for r, x in enumerate(X):
+        o, m = fit_ols(x, y, family=family), fit_mle(x, family)
+        one_a, one_b = ols_batch(x[None, :], y)
+        one_am, one_bm, _, iterations = mle_batch(x[None, :], family)
+        assert (o.a_hat, o.b_hat) == (one_a[0], one_b[0])
+        assert (m.a_hat, m.b_hat, m.iterations) == (one_am[0], one_bm[0], iterations)
+        assert [o.a_hat, o.b_hat, m.a_hat, m.b_hat] == pytest.approx(
+            [a[r], b[r], am[r], bm[r]], rel=1e-14)
+
+
+def test_fit_gls_whitens_with_the_moments_factor(monkeypatch):
+    x = np.sort(sample(DistributionSpec("gumbel", 2.0, 0.7), 12, 8))
+    m = build_moments("gumbel", 12)
+    ref = fit_gls(x, m)
+
+    def refuse(*args, **kwargs):
+        raise np.linalg.LinAlgError("a second factorization of V")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    fit = fit_gls(x, m)
+    assert (fit.a_hat, fit.b_hat, fit.ridge) == (ref.a_hat, ref.b_hat, ref.ridge)
+    assert np.allclose(m.L @ m.L.T, m.V, rtol=1e-13, atol=0)
 
 
 def test_normal_mle_closed_form():

@@ -6,7 +6,6 @@ from scipy import integrate, special
 
 from ppbench import order_stats
 from ppbench import (
-    BetaOrderLaw,
     OrderStatMoments,
     build_moments,
     ensure_spd,
@@ -19,17 +18,6 @@ from ppbench import (
 )
 
 EULER_GAMMA = 0.5772156649015329
-
-
-def test_beta_order_law_moments():
-    law = BetaOrderLaw(3, 9)
-    assert law.shape_a == 3 and law.shape_b == 7
-    assert law.mean == pytest.approx(0.3)
-    assert law.variance == pytest.approx(0.3 * 0.7 / 11)
-    with pytest.raises(ValueError):
-        BetaOrderLaw(0, 9)
-    with pytest.raises(ValueError):
-        BetaOrderLaw(10, 9)
 
 
 # --- exact integrals against closed forms -----------------------------------
@@ -393,10 +381,12 @@ def test_lognormal3_moments_match_normal():
 
 def test_ensure_spd_repairs_indefinite_matrix():
     V = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    fixed, delta = ensure_spd(V)
+    fixed, L, delta = ensure_spd(V)
     assert delta > 0
     assert _is_spd(fixed)
+    assert np.allclose(L, np.tril(L)) and np.allclose(L @ L.T, fixed, rtol=0, atol=1e-12)
     ok = np.eye(3)
-    same, delta0 = ensure_spd(ok)
+    same, L0, delta0 = ensure_spd(ok)
     assert delta0 == 0.0
     assert np.array_equal(same, ok)
+    assert np.array_equal(L0, ok)

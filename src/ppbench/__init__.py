@@ -76,7 +76,6 @@ from .benchmark import (
     default_f_grid,
     dse,
     replicate_key,
-    rm_index,
     run_suite,
 )
 from .gof import (

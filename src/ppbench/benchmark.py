@@ -269,26 +269,6 @@ def dse(family: str, n: int, f: FormulaLike) -> float:
     return float(np.sqrt(np.mean((zhat - means) ** 2)))
 
 
-def rm_index(family: str, n: int, f: FormulaLike, a: float, b: float) -> float:
-    """Root mean squared relative deviation of position quantiles.
-
-    Works on the original scale x = a + b z, hence depends on the
-    parameters; exact expected order statistics are the reference. Raises
-    if any reference value is zero (relative error undefined there).
-    """
-    family = canonical_family(family)
-    if not isinstance(f, PositionFormula):
-        f = make_formula(f, family=family)
-    p = positions_for(f, n, family=family).p
-    zhat = reduced_quantile(family, p)
-    means = np.array([exact_mean(family, i, n) for i in range(1, n + 1)])
-    ref = a + b * means
-    if np.any(ref == 0.0):
-        raise ZeroDivisionError("an exact expected order statistic equals zero")
-    fitted = a + b * zhat
-    return float(np.sqrt(np.mean(((fitted - ref) / ref) ** 2)))
-
-
 @dataclass(frozen=True)
 class BenchmarkRow:
     estimator: str

@@ -6,12 +6,12 @@ Beta(i, N - i + 1)``, keeping derivatives up to a chosen order ``k <= 4``;
 it is cheap and works for any N. Its kernels broadcast over integer rank
 arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
 Python calls. The exact route is the reference the expansion is judged
-against and is cost-guarded to moderate N. Means and variances integrate
-against the order-statistic density with adaptive ``quad``. The joint
-moments E[Z_i Z_j], i < j, come from one blocked trapezoid quadrature on
-fixed nodes per (family, N) that serves every pair at once; its error is
-estimated from the same nodes at twice the step and must stay below
-EXACT_COV_TOL.
+against and is cost-guarded to moderate N. It is trapezoid quadrature on
+fixed nodes: one array evaluation per (family, N) gives the first two
+moments of every rank, and one blocked evaluation gives the joint moments
+E[Z_i Z_j] of every pair i < j. Each error is estimated from the same nodes
+at twice the step and must stay below EXACT_MEAN_TOL (means) or
+EXACT_COV_TOL (second and joint moments).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .distributions import (
     GUMBEL,
@@ -130,68 +130,10 @@ def expansion_cov(family: str, i, j, n: int):
     return float(cov) if cov.ndim == 0 else cov
 
 
-def _order_stat_pdf_factory(family: str, i: int, n: int):
-    from .distributions import _cdf_z, _pdf_z  # reduced-form internals
-
-    lognorm = special.gammaln(n + 1) - special.gammaln(i) - special.gammaln(n - i + 1)
-
-    def density(z: float) -> float:
-        F = float(_cdf_z(family, np.asarray(z)))
-        f = float(_pdf_z(family, np.asarray(z)))
-        if f == 0.0:
-            return 0.0
-        logd = lognorm + math.log(f)
-        # zero exponents are skipped so that log(0) never multiplies 0
-        if i > 1:
-            if F <= 0.0:
-                return 0.0
-            logd += (i - 1) * math.log(F)
-        if n - i > 0:
-            if F >= 1.0:
-                return 0.0
-            logd += (n - i) * math.log1p(-F)
-        return math.exp(logd)
-
-    return density
-
-
-@lru_cache(maxsize=None)
-def exact_mean(family: str, i: int, n: int) -> float:
-    """E of the i-th reduced order statistic by adaptive quadrature.
-
-    Guarded to N <= 100; raises QuadratureError if the integrator cannot
-    certify an absolute error below 1e-9.
-    """
-    family = _moment_family(family)
-    _check_indices(i, n)
-    if n > EXACT_MEAN_MAX_N:
-        raise ValueError("exact mean is limited to N <= %d" % EXACT_MEAN_MAX_N)
-
-    dens = _order_stat_pdf_factory(family, i, n)
-    val, err = integrate.quad(
-        lambda z: z * dens(z), -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400
-    )
-    if err > EXACT_MEAN_TOL:
-        raise QuadratureError(
-            "order-statistic mean quadrature error %.3e exceeds %.1e" % (err, EXACT_MEAN_TOL)
-        )
-    return float(val)
-
-
-@lru_cache(maxsize=None)
-def _exact_second_moment(family: str, i: int, n: int) -> float:
-    dens = _order_stat_pdf_factory(family, i, n)
-    val, err = integrate.quad(
-        lambda z: z * z * dens(z), -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400
-    )
-    if err > EXACT_COV_TOL:
-        raise QuadratureError("second-moment quadrature error %.3e too large" % err)
-    return float(val)
-
-
-# Fixed nodes of the joint-moment quadrature in _exact_joint_moments. Beyond
-# the ends of its z1 range each parent's density is below about 1e-17; the
-# inner gap t = z2 - z1 = exp(s) runs from exp(-25) ~ 1.4e-11 to about 50.
+# Fixed nodes of the exact quadratures: z1 in _exact_moments and
+# _exact_joint_moments, the gap s in the latter. Beyond the ends of the z1
+# range each parent's density is below about 1e-17; the inner gap
+# t = z2 - z1 = exp(s) runs from exp(-25) ~ 1.4e-11 to about 50.
 _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
 _COV_S_RANGE = (-25.0, math.log(50.0))
 _COV_STEP_Z = 0.05
@@ -211,6 +153,60 @@ def _log_parent(family: str, z: np.ndarray):
         e = np.exp(-z)
         return -z - e, -e, np.log(-np.expm1(-e))
     return -0.5 * z * z - _LOG_SQRT_2PI, special.log_ndtr(z), special.log_ndtr(-z)
+
+
+def _check_trapezoid(fine, coarse, tol: float, what: str) -> None:
+    err = float(np.max(np.abs(fine - coarse)))
+    if err > tol:
+        raise QuadratureError("%s quadrature error %.3e exceeds %.1e" % (what, err, tol))
+
+
+def _trapezoid_z(g: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Trapezoid sums of the rows of g on the z1 nodes, checked against the even nodes."""
+    fine = _COV_STEP_Z * g.sum(axis=1)
+    _check_trapezoid(fine, 2.0 * _COV_STEP_Z * g[:, ::2].sum(axis=1), tol, what)
+    fine.flags.writeable = False  # shared by every caller through the cache
+    return fine
+
+
+@lru_cache(maxsize=None)
+def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[Z_i] and E[Z_i^2] for every rank i = 1..N, as two length-N arrays.
+
+    One trapezoid rule on the z1 nodes of _exact_joint_moments serves every
+    rank: the order-statistic density is built in log form from log f,
+    log F and log S, evaluated once and shared by all ranks. The error
+    estimate per rank is |I_h - I_2h|, where I_2h sums the even nodes;
+    QuadratureError is raised if it exceeds EXACT_MEAN_TOL for a mean or
+    EXACT_COV_TOL for a second moment.
+    """
+    lo, hi = _COV_Z1_RANGE[family]
+    z = _nodes(lo, hi, _COV_STEP_Z)
+    lf, lF, lS = _log_parent(family, z)
+    a = np.arange(n)[:, None]  # exponent of F; n - 1 - a is that of S
+    b = n - 1 - a
+    logc = special.gammaln(n + 1) - special.gammaln(a + 1) - special.gammaln(b + 1)
+    # zero exponents are skipped so that log(0) never multiplies 0
+    logd = logc + lf + np.where(a > 0, a * lF, 0.0) + np.where(b > 0, b * lS, 0.0)
+    w = np.exp(logd)
+    mean = _trapezoid_z(z * w, EXACT_MEAN_TOL, "order-statistic mean")
+    second = _trapezoid_z(z * z * w, EXACT_COV_TOL, "second-moment")
+    return mean, second
+
+
+@lru_cache(maxsize=None)
+def exact_mean(family: str, i: int, n: int) -> float:
+    """E of the i-th reduced order statistic by fixed-node quadrature.
+
+    Reads the table that one trapezoid rule fills for every rank of an
+    (family, N) at once (see _exact_moments). Guarded to N <= 100; raises
+    QuadratureError if the error estimate exceeds EXACT_MEAN_TOL.
+    """
+    family = _moment_family(family)
+    _check_indices(i, n)
+    if n > EXACT_MEAN_MAX_N:
+        raise ValueError("exact mean is limited to N <= %d" % EXACT_MEAN_MAX_N)
+    return float(_exact_moments(family, n)[0][i - 1])
 
 
 @lru_cache(maxsize=None)
@@ -269,12 +265,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
             coarse[k] += g[::2, ::2].sum()
     cell = _COV_STEP_Z * _COV_STEP_S
     fine *= cell
-    coarse *= 4.0 * cell
-    err = float(np.max(np.abs(fine - coarse)))
-    if err > EXACT_COV_TOL:
-        raise QuadratureError(
-            "joint-moment quadrature error %.3e exceeds %.1e" % (err, EXACT_COV_TOL)
-        )
+    _check_trapezoid(fine, 4.0 * cell * coarse, EXACT_COV_TOL, "joint-moment")
     table = np.zeros((n, n))
     table[ii, jj] = fine
     table.flags.writeable = False  # shared by every caller through the cache
@@ -285,11 +276,11 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
 def exact_cov(family: str, i: int, j: int, n: int) -> float:
     """Covariance of reduced order statistics by quadrature.
 
-    Variances come from the adaptive one-dimensional quadrature of the first
-    two moments. Off-diagonal entries read E[Z_i Z_j] from one fixed-node
-    trapezoid quadrature of the joint density that serves every pair of an
-    (family, N) at once (see _exact_joint_moments); it raises QuadratureError
-    if its error estimate exceeds EXACT_COV_TOL. Guarded to N <= 10.
+    Variances read E[Z_i^2] from the fixed-node table of _exact_moments, and
+    off-diagonal entries read E[Z_i Z_j] from one fixed-node trapezoid
+    quadrature of the joint density that serves every pair of an (family, N)
+    at once (see _exact_joint_moments); each raises QuadratureError if its
+    error estimate exceeds EXACT_COV_TOL. Guarded to N <= 10.
     Symmetric in (i, j).
     """
     family = _moment_family(family)
@@ -302,7 +293,7 @@ def exact_cov(family: str, i: int, j: int, n: int) -> float:
 
     if i == j:
         m = exact_mean(family, i, n)
-        return _exact_second_moment(family, i, n) - m * m
+        return float(_exact_moments(family, n)[1][i - 1]) - m * m
     joint = float(_exact_joint_moments(family, n)[i - 1, j - 1])
     return joint - exact_mean(family, i, n) * exact_mean(family, j, n)
 

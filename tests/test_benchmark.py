@@ -11,7 +11,6 @@ from ppbench import (
     positions_for,
     reduced,
     replicate_key,
-    rm_index,
     run_suite,
     sample,
 )
@@ -213,19 +212,6 @@ def test_dse_improves_with_expansion_order():
 
 def test_dse_lognormal_uses_log_scale_parent():
     assert dse("lognormal3", 10, "blom") == pytest.approx(dse("normal", 10, "blom"), abs=1e-12)
-
-
-def test_rm_index_scale_sensitivity_and_zero_guard():
-    # relative gaps depend on (a, b): the index is not parameter free
-    r1 = rm_index("gumbel", 5, "weibull", a=10.0, b=1.0)
-    r2 = rm_index("gumbel", 5, "weibull", a=100.0, b=1.0)
-    assert r1 != pytest.approx(r2)
-    # pick (a, b) so one reference expected order statistic is exactly zero
-    from ppbench import exact_mean
-
-    m1 = exact_mean("gumbel", 1, 5)
-    with pytest.raises(ZeroDivisionError):
-        rm_index("gumbel", 5, "weibull", a=-(2.0 * m1), b=2.0)
 
 
 def test_report_payload_structure():

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -58,7 +63,7 @@ def test_normal_pair_covariance_is_inverse_pi():
 
 
 def test_normal_pair_variance():
-    assert exact_cov("normal", 2, 2, 2) == pytest.approx(1 - 1 / math.pi, abs=1e-6)
+    assert exact_cov("normal", 2, 2, 2) == pytest.approx(1 - 1 / math.pi, abs=1e-9)
 
 
 def test_gumbel_pair_covariance_is_log_two_squared():
@@ -68,10 +73,55 @@ def test_gumbel_pair_covariance_is_log_two_squared():
 def test_gumbel_pair_variances():
     pi2_6 = math.pi**2 / 6
     # max of two standard Gumbels is Gumbel(log 2, 1)
-    assert exact_cov("gumbel", 2, 2, 2) == pytest.approx(pi2_6, abs=1e-6)
+    assert exact_cov("gumbel", 2, 2, 2) == pytest.approx(pi2_6, abs=1e-9)
     assert exact_cov("gumbel", 1, 1, 2) == pytest.approx(
-        pi2_6 - 2 * math.log(2) ** 2, abs=1e-6
+        pi2_6 - 2 * math.log(2) ** 2, abs=1e-9
     )
+
+
+# Finite breakpoints for mp.quad; beyond the outer ones every parent's
+# density is below about 1e-17.
+MP_BREAKS = {
+    "gumbel": [-4.5, -1, 0, 1, 3, 6, 10, 20, 40],
+    "normal": [-9, -3, -1, 0, 1, 3, 9],
+}
+
+
+def _mp_order_stat_moments(family, i, n):
+    """E[Z_i] and E[Z_i^2] by mpmath quadrature of the order-statistic density."""
+    if family == "gumbel":
+        def parent(z):
+            e = mp.exp(-z)
+            return mp.exp(-z - e), mp.exp(-e), -mp.expm1(-e)
+    else:
+        def parent(z):
+            return mp.npdf(z), mp.ncdf(z), mp.ncdf(-z)
+
+    c = n * mp.binomial(n - 1, i - 1)
+
+    def density(z):
+        f, F, S = parent(z)
+        return c * f * F ** (i - 1) * S ** (n - i)
+
+    breaks = [mp.mpf(b) for b in MP_BREAKS[family]]
+    return (mp.quad(lambda z: z * density(z), breaks),
+            mp.quad(lambda z: z * z * density(z), breaks))
+
+
+@pytest.mark.parametrize("n", [5, 30, 100])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_mean_and_variance_match_mpmath(family, n):
+    with mp.workdps(20):
+        for i in (1, (n + 1) // 2, n):
+            m1, m2 = _mp_order_stat_moments(family, i, n)
+            assert exact_mean(family, i, n) == pytest.approx(float(m1), abs=1e-12)
+            if n <= order_stats.EXACT_COV_MAX_N:
+                var = exact_cov(family, i, i, n)
+            else:
+                # exact_cov is guarded to small N; its diagonal reads this table
+                second = order_stats._exact_moments(family, n)[1][i - 1]
+                var = second - exact_mean(family, i, n) ** 2
+            assert var == pytest.approx(float(m2 - m1 * m1), abs=1e-12)
 
 
 def test_exact_cov_symmetric_in_ranks():
@@ -161,13 +211,17 @@ def test_exact_cov_matches_adaptive_double_quadrature(family, i, j):
     assert got == pytest.approx(_dblquad_joint_moment(family, i, j, n), abs=1e-9)
 
 
+def _clear_exact_caches():
+    for cached in (order_stats._exact_moments, order_stats._exact_joint_moments,
+                   exact_mean, exact_cov):
+        cached.cache_clear()
+
+
 @pytest.fixture
 def cold_exact_cov():
-    order_stats._exact_joint_moments.cache_clear()
-    exact_cov.cache_clear()
+    _clear_exact_caches()
     yield
-    order_stats._exact_joint_moments.cache_clear()
-    exact_cov.cache_clear()
+    _clear_exact_caches()
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
@@ -175,6 +229,13 @@ def test_exact_cov_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
     monkeypatch.setattr(order_stats, "_COV_STEP_S", 0.4)
     with pytest.raises(QuadratureError):
         exact_cov(family, 1, 2, 4)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_mean_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z", 0.3)
+    with pytest.raises(QuadratureError):
+        exact_mean(family, 1, 30)
 
 
 def test_exact_mean_guards():
@@ -390,3 +451,14 @@ def test_ensure_spd_repairs_indefinite_matrix():
     assert delta0 == 0.0
     assert np.array_equal(same, ok)
     assert np.array_equal(L0, ok)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # A fresh interpreter: this module imports scipy.integrate itself, for the
+    # dblquad reference above.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import ppbench, sys; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

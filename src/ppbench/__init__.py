@@ -12,6 +12,7 @@ from .distributions import (
     DomainError,
     canonical_family,
     cdf,
+    paper_family,
     pdf,
     quantile,
     quantile_derivative,

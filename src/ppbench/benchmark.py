@@ -33,6 +33,7 @@ from .distributions import (
     GUMBEL,
     NORMAL,
     canonical_family,
+    paper_family,
     reduced,
     reduced_cdf,
     reduced_quantile,
@@ -112,6 +113,16 @@ def _worker_count() -> int:
 FormulaLike = Union[str, PositionFormula]
 
 
+def _check_formula_family(f: PositionFormula, family: str) -> None:
+    # the exact-unbiased positions belong to one parent; DSE scores them
+    # against the cell's exact means, so any other parent is a mismatch
+    if f.id == EUPP_ID and f.family != family:
+        raise ValueError(
+            "positions were built for family %r, benchmark cell is %r"
+            % (f.family, family)
+        )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that pins down one Monte Carlo benchmark cell."""
@@ -122,7 +133,6 @@ class ExperimentConfig:
     seed: int = DEFAULT_SEED
     formulas: Optional[Sequence[FormulaLike]] = None
     f_grid: Optional[np.ndarray] = None
-    method: str = OLS
     include_mle: bool = True
 
     def __post_init__(self) -> None:
@@ -135,16 +145,14 @@ class ExperimentConfig:
         if (not isinstance(self.replicates, int) or isinstance(self.replicates, bool)
                 or self.replicates < MIN_REPLICATES):
             raise ValueError("replicates must be an int >= %d" % MIN_REPLICATES)
-        if self.method != OLS:
-            raise ValueError("the Monte Carlo benchmark fits with OLS only")
 
         resolved = []
         source = self.formulas if self.formulas is not None else DEFAULT_FORMULA_ORDER
         for f in source:
-            if isinstance(f, PositionFormula):
-                resolved.append(f)
-            else:
-                resolved.append(make_formula(f, family=family))
+            if not isinstance(f, PositionFormula):
+                f = make_formula(f, family=family)
+            _check_formula_family(f, family)
+            resolved.append(f)
         object.__setattr__(self, "formulas", tuple(resolved))
 
         grid = self.f_grid if self.f_grid is not None else default_f_grid()
@@ -253,16 +261,10 @@ def dse(family: str, n: int, f: FormulaLike) -> float:
     Deterministic: needs only the positions and the exact order-statistic
     means of the reduced parent.
     """
-    family = canonical_family(family)
-    if family not in (GUMBEL, NORMAL):
-        family = NORMAL
+    family = paper_family(family)
     if not isinstance(f, PositionFormula):
         f = make_formula(f, family=family)
-    if f.id == EUPP_ID and f.family != family:
-        raise ValueError(
-            "positions were built for family %r, benchmark cell is %r"
-            % (f.family, family)
-        )
+    _check_formula_family(f, family)
     p = positions_for(f, n, family=family).p
     zhat = reduced_quantile(family, p)
     means = np.array([exact_mean(family, i, n) for i in range(1, n + 1)])
@@ -287,7 +289,6 @@ class BenchmarkReport:
     n: int
     replicates: int
     seed: int
-    method: str
     grid_nodes: int
     rows: tuple[BenchmarkRow, ...]
 
@@ -303,7 +304,7 @@ class BenchmarkReport:
             "n": self.n,
             "replicates": self.replicates,
             "seed": self.seed,
-            "method": self.method,
+            "method": OLS,  # the Monte Carlo benchmark fits with OLS only
             "grid_nodes": self.grid_nodes,
             "rows": [
                 {
@@ -375,7 +376,6 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
         n=cfg.n,
         replicates=cfg.replicates,
         seed=cfg.seed,
-        method=cfg.method,
         grid_nodes=int(cfg.f_grid.size),
         rows=tuple(rows),
     )

@@ -59,6 +59,16 @@ def canonical_family(name: str) -> str:
         ) from None
 
 
+def paper_family(name: str) -> str:
+    """The family whose reduced variate ``name`` is plotted on.
+
+    The canonical name, except that the log family reads as the normal: its
+    reduced variate is the standard normal score of ``log(x - c)``.
+    """
+    family = canonical_family(name)
+    return NORMAL if family == LOGNORMAL3 else family
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A fully specified member of one of the supported families.
@@ -124,18 +134,14 @@ def _pdf_z(family: str, z: np.ndarray) -> np.ndarray:
 
 def reduced_cdf(family: str, z):
     """CDF of the reduced variate; vectorized."""
-    family = canonical_family(family)
-    if family == LOGNORMAL3:
-        family = NORMAL
+    family = paper_family(family)
     arr, scalar = _as_array(z)
     return _ret(_cdf_z(family, arr), scalar)
 
 
 def reduced_quantile(family: str, p):
     """Quantile of the reduced variate; vectorized, domain p in (0, 1)."""
-    family = canonical_family(family)
-    if family == LOGNORMAL3:
-        family = NORMAL
+    family = paper_family(family)
     arr, scalar = _as_array(p)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("probability must lie strictly inside (0, 1)")
@@ -205,8 +211,8 @@ def quantile(d: DistributionSpec, p):
 def quantile_derivative(family: str, p, order: int):
     """Derivative of the reduced-variate quantile function, orders 1 to 4.
 
-    For the log family the reduced variate is the standard normal score of
-    ``log(x - c)``, so its quantile derivatives are the normal ones.
+    The log family's quantile derivatives are the normal ones (see
+    paper_family).
 
     Closed forms, with ``L = log p`` and ``u = p L`` for the Gumbel family
     and ``g = sqrt(2 pi) exp(z^2 / 2)`` (the reciprocal normal density at
@@ -222,9 +228,7 @@ def quantile_derivative(family: str, p, order: int):
             / u^4
     ======  ==========================  =========================
     """
-    family = canonical_family(family)
-    if family == LOGNORMAL3:
-        family = NORMAL
+    family = paper_family(family)
     if not isinstance(order, int) or isinstance(order, bool):
         raise TypeError("order must be an int")
     if order < 1 or order > 4:

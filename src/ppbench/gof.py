@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import NORMAL, DegenerateSampleError, canonical_family
+from .distributions import DegenerateSampleError
 
 PASS_5PCT = "pass_5pct"
 PASS_2_5PCT = "pass_2_5pct"
@@ -91,14 +91,12 @@ def _check_sample(x) -> np.ndarray:
     return np.sort(x)
 
 
-def mad_case3(x, family: str = "normal") -> MadResult:
-    """Modified Anderson-Darling test with mean and sd taken from the sample.
+def mad_case3(x) -> MadResult:
+    """Modified Anderson-Darling normality test with mean and sd taken from the sample.
 
-    Only the normal family is supported; the correction factor and the
-    decision points are specific to that case.
+    The correction factor and the decision points are specific to the
+    normal family.
     """
-    if canonical_family(family) != NORMAL:
-        raise ValueError("the estimated-parameter test is defined for the normal family")
     xs = _check_sample(x)
     mean = float(xs.mean())
     sd = float(xs.std(ddof=1))

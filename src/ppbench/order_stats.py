@@ -9,9 +9,11 @@ Python calls. The exact route is the reference the expansion is judged
 against and is cost-guarded to moderate N. It is trapezoid quadrature on
 fixed nodes: one array evaluation per (family, N) gives the first two
 moments of every rank, and one blocked evaluation gives the joint moments
-E[Z_i Z_j] of every pair i < j. Each error is estimated from the same nodes
-at twice the step and must stay below EXACT_MEAN_TOL (means) or
-EXACT_COV_TOL (second and joint moments).
+E[Z_i Z_j] of every pair, cached as one symmetric N x N table whose
+diagonal holds E[Z_i^2]. Each error is estimated from the same nodes at
+twice the step and must stay below EXACT_MEAN_TOL (means) or EXACT_COV_TOL
+(second and joint moments). exact_cov broadcasts over rank arrays like
+expansion_cov, reading those two cached tables.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from scipy import special
 
 from .distributions import (
     GUMBEL,
-    LOGNORMAL3,
     NORMAL,
-    canonical_family,
+    paper_family,
     quantile_derivative,
     reduced_quantile,
 )
@@ -53,13 +54,6 @@ class QuadratureError(RuntimeError):
     """A quadrature failed to reach the required error bound."""
 
 
-def _moment_family(family: str) -> str:
-    # The log family lives on normal probability paper, so its reduced-variate
-    # order statistics are the normal ones.
-    family = canonical_family(family)
-    return NORMAL if family == LOGNORMAL3 else family
-
-
 def _check_indices(i, n: int) -> np.ndarray:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("sample size must be a positive int, got %r" % (n,))
@@ -79,7 +73,7 @@ def expansion_mean(family: str, i, n: int, k: int = 4):
 
     ``i`` is an int (giving a float) or an integer array of ranks.
     """
-    family = _moment_family(family)
+    family = paper_family(family)
     i = _check_indices(i, n)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > 4:
         raise ValueError("truncation level k must be an int in 0..4, got %r" % (k,))
@@ -109,7 +103,7 @@ def expansion_cov(family: str, i, j, n: int):
     a sum of three products of a factor of i and a factor of j. For i > j
     the ranks swap, which is exactly the symmetry of the covariance.
     """
-    family = _moment_family(family)
+    family = paper_family(family)
     i = _check_indices(i, n) - 1
     j = _check_indices(j, n) - 1
 
@@ -202,7 +196,7 @@ def exact_mean(family: str, i: int, n: int) -> float:
     (family, N) at once (see _exact_moments). Guarded to N <= 100; raises
     QuadratureError if the error estimate exceeds EXACT_MEAN_TOL.
     """
-    family = _moment_family(family)
+    family = paper_family(family)
     _check_indices(i, n)
     if n > EXACT_MEAN_MAX_N:
         raise ValueError("exact mean is limited to N <= %d" % EXACT_MEAN_MAX_N)
@@ -211,7 +205,10 @@ def exact_mean(family: str, i: int, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _exact_joint_moments(family: str, n: int) -> np.ndarray:
-    """E[Z_i Z_j] for every pair of ranks i < j, in the upper triangle of an N x N table.
+    """E[Z_i Z_j] for every pair of ranks, as a symmetric N x N table.
+
+    The diagonal is E[Z_i^2] from _exact_moments; each pair i < j is
+    integrated once and fills both triangles.
 
     One trapezoid rule on fixed nodes serves every pair: z1 on a uniform grid
     of step _COV_STEP_Z, and the gap t = z2 - z1 = exp(s) with s on a uniform
@@ -266,36 +263,31 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     cell = _COV_STEP_Z * _COV_STEP_S
     fine *= cell
     _check_trapezoid(fine, 4.0 * cell * coarse, EXACT_COV_TOL, "joint-moment")
-    table = np.zeros((n, n))
-    table[ii, jj] = fine
+    table = np.diag(_exact_moments(family, n)[1])
+    table[ii, jj] = table[jj, ii] = fine
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
-@lru_cache(maxsize=None)
-def exact_cov(family: str, i: int, j: int, n: int) -> float:
-    """Covariance of reduced order statistics by quadrature.
+def exact_cov(family: str, i, j, n: int):
+    """Covariance of reduced order statistics by quadrature, N <= 10.
 
-    Variances read E[Z_i^2] from the fixed-node table of _exact_moments, and
-    off-diagonal entries read E[Z_i Z_j] from one fixed-node trapezoid
-    quadrature of the joint density that serves every pair of an (family, N)
-    at once (see _exact_joint_moments); each raises QuadratureError if its
-    error estimate exceeds EXACT_COV_TOL. Guarded to N <= 10.
-    Symmetric in (i, j).
+    ``i`` and ``j`` are ints (giving a float) or integer rank arrays that
+    broadcast together, as in expansion_cov. The value is
+    E[Z_i Z_j] - E[Z_i] E[Z_j], read from the symmetric table of
+    _exact_joint_moments (E[Z_i^2] on its diagonal) and the means of
+    _exact_moments. Both tables are cached per (family, N), so this kernel
+    keeps no cache of its own; each raises QuadratureError if its error
+    estimate exceeds EXACT_COV_TOL. Symmetric in (i, j).
     """
-    family = _moment_family(family)
-    _check_indices(i, n)
-    _check_indices(j, n)
+    family = paper_family(family)
+    i = _check_indices(i, n) - 1
+    j = _check_indices(j, n) - 1
     if n > EXACT_COV_MAX_N:
         raise ValueError("exact covariance is limited to N <= %d" % EXACT_COV_MAX_N)
-    if i > j:
-        i, j = j, i
-
-    if i == j:
-        m = exact_mean(family, i, n)
-        return float(_exact_moments(family, n)[1][i - 1]) - m * m
-    joint = float(_exact_joint_moments(family, n)[i - 1, j - 1])
-    return joint - exact_mean(family, i, n) * exact_mean(family, j, n)
+    mean = _exact_moments(family, n)[0]
+    cov = _exact_joint_moments(family, n)[i, j] - mean[i] * mean[j]
+    return float(cov) if cov.ndim == 0 else cov
 
 
 def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -350,25 +342,20 @@ def build_moments(
     cov_mode selects the covariance model: the second-order expansion, the
     exact quadrature values (N <= 10), the expansion diagonal only, or the
     identity. In exact mode the mean vector is also exact and k is ignored.
-    The expansion modes make one broadcast kernel call per moment, O(N^2)
-    array work for the full matrix, not O(N^2) Python calls.
+    Every covariance mode makes one broadcast kernel call, O(N^2) array
+    work for the full matrix, not O(N^2) Python calls.
     """
-    family = _moment_family(family)
+    family = paper_family(family)
     if cov_mode not in COV_MODES:
         raise ValueError("cov_mode must be one of %s" % (COV_MODES,))
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError("need at least two order statistics, got n=%r" % (n,))
 
+    r = np.arange(1, n + 1)
     if cov_mode == EXACT:
-        if n > EXACT_COV_MAX_N:
-            raise ValueError("exact moments are limited to N <= %d" % EXACT_COV_MAX_N)
+        V = exact_cov(family, r[:, None], r, n)
         y = np.array([exact_mean(family, i, n) for i in range(1, n + 1)])
-        V = np.empty((n, n))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                V[i - 1, j - 1] = V[j - 1, i - 1] = exact_cov(family, i, j, n)
     else:
-        r = np.arange(1, n + 1)
         y = expansion_mean(family, r, n, k)
         if cov_mode == IDENTITY:
             V = np.eye(n)

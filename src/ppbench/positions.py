@@ -45,8 +45,9 @@ class PositionFormula:
             if self.family is None:
                 raise ValueError("the exact-unbiased formula needs a family")
             object.__setattr__(self, "family", canonical_family(self.family))
-            if not isinstance(self.k, int) or self.k < 0 or self.k > 4:
-                raise ValueError("truncation level k must be in 0..4")
+            k = self.k
+            if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > 4:
+                raise ValueError("truncation level k must be an int in 0..4, got %r" % (k,))
 
     @property
     def label(self) -> str:
@@ -146,6 +147,9 @@ def classical_positions(f: Union[str, PositionFormula], n: int) -> PositionSet:
     if f.id == EUPP_ID:
         raise ValueError("use proposed_positions() for the exact-unbiased formula")
     if f.id == "erto_lepore_2013":
+        if n < 2:
+            # its offset divides by 2**(1/n) - 2, which is 0 at n = 1
+            raise ValueError("formula erto_lepore_2013 needs n >= 2, got n=%d" % n)
         a, b = _erto_lepore_2013_offsets(n)
         # record the offsets actually used for this n on the result
         f = PositionFormula(id=f.id, rank_offset=a, size_offset=b)

@@ -62,13 +62,19 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(family="gumbel", n=5, replicates=bad)
     with pytest.raises(ValueError):
-        ExperimentConfig(family="gumbel", n=5, method="gls")
-    with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, formulas=["nope"])
+
+
+def test_config_rejects_exact_unbiased_formula_of_another_family():
+    # caught before any replicate is simulated, not by dse after the run
+    with pytest.raises(ValueError, match="built for family 'normal'"):
+        ExperimentConfig("gumbel", 30, formulas=[make_formula("eupp", family="normal")])
+    cfg = ExperimentConfig("gumbel", 30, formulas=[make_formula("eupp", family="ev1")])
+    assert cfg.formula_keys() == ("eupp(gumbel, k=4)",)
 
 
 def test_config_default_formula_roster():

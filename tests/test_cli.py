@@ -60,6 +60,12 @@ def test_positions_eupp_needs_family(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_positions_erto_lepore_single_observation(capsys):
+    assert main(["positions", "--n", "1", "--formula", "erto_lepore"]) == 2
+    err = capsys.readouterr().err
+    assert "erto_lepore_2013" in err and "n >= 2" in err
+
+
 def test_positions_eupp_with_family(capsys):
     assert main(["positions", "--n", "5", "--family", "gumbel"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

@@ -11,6 +11,7 @@ from ppbench import (
     DomainError,
     canonical_family,
     cdf,
+    paper_family,
     pdf,
     quantile,
     quantile_derivative,
@@ -29,6 +30,15 @@ def test_canonical_family_aliases():
     assert canonical_family("log-normal") == "lognormal3"
     with pytest.raises(ValueError):
         canonical_family("cauchy")
+
+
+def test_paper_family_reads_the_log_family_as_normal():
+    for alias in ("lognormal3", "lognormal", "log-normal", "Log-Normal3"):
+        assert paper_family(alias) == "normal"
+    assert paper_family("EV1") == "gumbel"
+    assert paper_family("gauss") == "normal"
+    with pytest.raises(ValueError):
+        paper_family("cauchy")
 
 
 def test_spec_validation():

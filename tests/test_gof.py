@@ -71,13 +71,6 @@ def test_rejects_small_or_flat_samples():
         mad_case3(np.array([1.0, 2.0, np.nan, 4.0, 5.0]))
 
 
-def test_only_normal_family_supported():
-    x = np.random.default_rng(4).normal(size=20)
-    assert mad_case3(x, family="gaussian").n == 20
-    with pytest.raises(ValueError):
-        mad_case3(x, family="gumbel")
-
-
 def test_order_invariance():
     rng = np.random.default_rng(5)
     x = rng.normal(size=60)

@@ -128,6 +128,33 @@ def test_exact_cov_symmetric_in_ranks():
     assert exact_cov("normal", 2, 4, 6) == exact_cov("normal", 4, 2, 6)
 
 
+@pytest.mark.parametrize("n", [2, 5, 10])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_cov_broadcast_matches_scalar_calls(family, n):
+    r = np.arange(1, n + 1)
+    grid = exact_cov(family, r[:, None], r, n)
+    assert grid.shape == (n, n)
+    np.testing.assert_array_equal(grid, grid.T)
+    scalar = exact_cov(family, 1, n, n)
+    assert type(scalar) is float
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert grid[i - 1, j - 1] == exact_cov(family, i, j, n)
+    np.testing.assert_array_equal(exact_cov(family, r, r, n), np.diag(grid))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.array([0, 1, 2]), np.array([1, 2, 6]), np.array([1.0, 2.0]),
+            np.array([True, False]), 2.0, True, 0, 6]
+)
+def test_exact_cov_rejects_bad_ranks(bad):
+    n = 5
+    with pytest.raises(ValueError):
+        exact_cov("normal", bad, 3, n)
+    with pytest.raises(ValueError):
+        exact_cov("normal", np.arange(1, n + 1), bad, n)
+
+
 # --- the joint-moment quadrature behind the exact off-diagonal covariance ----
 
 VAR_Z = {"normal": 1.0, "gumbel": math.pi**2 / 6}
@@ -212,8 +239,9 @@ def test_exact_cov_matches_adaptive_double_quadrature(family, i, j):
 
 
 def _clear_exact_caches():
+    # exact_cov keeps no cache: it reads the two tables cleared here
     for cached in (order_stats._exact_moments, order_stats._exact_joint_moments,
-                   exact_mean, exact_cov):
+                   exact_mean):
         cached.cache_clear()
 
 

@@ -142,6 +142,10 @@ def test_eupp_formula_validation():
         PositionFormula(EUPP_ID, 0.0, 1.0, family=None)
     with pytest.raises(ValueError):
         make_formula(EUPP_ID, family="gumbel", k=7)
+    # a bool is not a truncation level, though it is an int
+    for bad in (True, False, 2.0):
+        with pytest.raises(ValueError):
+            PositionFormula(EUPP_ID, family="gumbel", k=bad)
     # every level 0..4 is legal
     for k in range(5):
         assert make_formula(EUPP_ID, family="gumbel", k=k).k == k
@@ -152,3 +156,12 @@ def test_classical_positions_input_validation():
         classical_positions("weibull", 0)
     with pytest.raises(ValueError):
         classical_positions(EUPP_ID, 5)
+
+
+def test_erto_lepore_needs_two_observations():
+    # its offset divides by 2**(1/n) - 2, which vanishes at n = 1
+    with pytest.raises(ValueError, match="erto_lepore_2013.*n >= 2"):
+        classical_positions("erto_lepore_2013", 1)
+    with pytest.raises(ValueError, match="erto_lepore_2013"):
+        positions_for("erto_lepore", 1)
+    assert positions_for("erto_lepore_2013", 2).p.shape == (2,)

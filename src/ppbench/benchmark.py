@@ -45,6 +45,7 @@ from .positions import EUPP_ID, PositionFormula, make_formula, positions_for
 
 DEFAULT_REPLICATES = 10_000
 DEFAULT_SEED = 20140101
+SEED_LIMIT = 1 << 64
 MIN_REPLICATES = 100
 THREADS_ENV = "PPBENCH_THREADS"
 MLE_KEY = "mle"
@@ -69,7 +70,7 @@ DEFAULT_FORMULA_ORDER = (
 )
 
 _CHUNK = 1024
-_IFSE_BLOCK = 2048
+_IFSE_BLOCK = 256
 
 
 def default_f_grid() -> np.ndarray:
@@ -80,13 +81,15 @@ def default_f_grid() -> np.ndarray:
 def replicate_key(seed: int, m: int) -> int:
     """Counter-based stream key for replicate m of a run seeded with seed.
 
-    Keys place the seed in the upper 64 bits, so replicate streams never
-    collide across replicate indices below 2**64 and any replicate can be
-    regenerated in isolation with sample().
+    Keys place the seed in the upper 64 bits and m in the lower, so distinct
+    (seed, m) pairs never share a stream and any replicate can be
+    regenerated in isolation with sample(). Both must lie in [0, 2**64).
     """
-    if m < 0:
-        raise ValueError("replicate index must be nonnegative")
-    return (int(seed) % (1 << 64)) * (1 << 64) + int(m)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError("seed must lie in [0, 2**64), got %d" % seed)
+    if not 0 <= m < SEED_LIMIT:
+        raise ValueError("replicate index must lie in [0, 2**64), got %d" % m)
+    return int(seed) * SEED_LIMIT + int(m)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -145,6 +148,9 @@ class ExperimentConfig:
         if (not isinstance(self.replicates, int) or isinstance(self.replicates, bool)
                 or self.replicates < MIN_REPLICATES):
             raise ValueError("replicates must be an int >= %d" % MIN_REPLICATES)
+        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
+                or not 0 <= self.seed < SEED_LIMIT):
+            raise ValueError("seed must be an int in [0, 2**64), got %r" % (self.seed,))
 
         resolved = []
         source = self.formulas if self.formulas is not None else DEFAULT_FORMULA_ORDER
@@ -181,10 +187,8 @@ class EstimatorParams:
 
 
 def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> np.ndarray:
-    d = reduced(family)
-    out = np.empty((count, n))
-    for r in range(count):
-        out[r] = sample(d, n, replicate_key(seed, start + r))
+    keys = [replicate_key(seed, m) for m in range(start, start + count)]
+    out = sample(reduced(family), n, keys)
     out.sort(axis=1)
     return out
 

@@ -14,6 +14,7 @@ against reduced-variate quantiles fall on the line ``x = a + b z``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,19 +264,53 @@ def quantile_derivative(family: str, p, order: int):
     return _ret(out, scalar)
 
 
-def sample(d: DistributionSpec, n: int, rng_seed: int) -> np.ndarray:
+_WORD = (1 << 64) - 1
+
+
+def _stream_key(k) -> int:
+    # bool is an int subclass, but True is not a key anyone means
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        raise TypeError("stream keys must be ints, got %r" % (k,))
+    if not 0 <= k < 1 << 128:
+        raise ValueError("stream keys must lie in [0, 2**128), got %d" % k)
+    return int(k)
+
+
+def sample(d: DistributionSpec, n: int, rng_seed) -> np.ndarray:
     """Draw ``n`` variates by inverse-CDF over counter-based uniforms.
 
-    The stream is keyed directly by ``rng_seed``; equal keys reproduce equal
+    ``rng_seed`` is one int key in [0, 2**128), or a 1-D sequence of them.
+    Each key names its own Philox stream, so equal keys reproduce equal
     samples regardless of what was drawn before, which is what makes Monte
-    Carlo replicates independently reproducible.
+    Carlo replicates independently reproducible. One key gives a vector of
+    ``n`` draws; a sequence gives one row per key, and row r equals the
+    one-key draw for ``rng_seed[r]`` bitwise. A bad key raises TypeError
+    (not an int; bools are refused) or ValueError (out of range, or an
+    empty sequence) before anything is drawn.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise TypeError("n must be an int")
     if n < 1:
         raise ValueError("need at least one draw, got n=%d" % n)
-    gen = np.random.Generator(np.random.Philox(key=int(rng_seed)))
-    u = gen.random(n)
+    single = isinstance(rng_seed, (int, np.integer))
+    if not (single or isinstance(rng_seed, Iterable)) or isinstance(rng_seed, (str, bytes)):
+        raise TypeError("rng_seed must be an int key or a sequence of int keys")
+    keys = [_stream_key(k) for k in ([rng_seed] if single else rng_seed)]
+    if not keys:
+        raise ValueError("need at least one stream key")
+
+    # one generator serves every key: a Philox stream is its key plus a
+    # counter, so resetting both (and the output buffer) to a fresh
+    # generator's state replays exactly what Philox(key=k) would draw
+    gen = np.random.Generator(np.random.Philox(key=0))
+    bitgen = gen.bit_generator
+    fresh = bitgen.state
+    u = np.empty((len(keys), n))
+    for row, k in zip(u, keys):
+        fresh["state"]["key"] = (k & _WORD, k >> 64)
+        bitgen.state = fresh
+        gen.random(out=row)
     # random() can return exactly 0.0; nudge to keep quantiles finite
     u[u == 0.0] = np.nextafter(0.0, 1.0)
-    return quantile(d, u)
+    x = quantile(d, u)
+    return x[0] if single else x

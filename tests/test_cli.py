@@ -178,6 +178,17 @@ def test_benchmark_no_mle(capsys):
     assert [r["estimator"] for r in rows] == ["weibull"]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_benchmark_seed_out_of_range_exits_2(capsys, seed):
+    # the seed is reported as given, so a seed that is not its own stream fails
+    argv = ["benchmark", "--family", "gumbel", "--n", "5", "--replicates", "200",
+            "--formulas", "weibull", "--seed", seed]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be an int in [0, 2**64)" in captured.err
+
+
 def test_benchmark_deterministic(capsys):
     argv = ["benchmark", "--family", "normal", "--n", "5",
             "--replicates", "200", "--formulas", "hazen"]

@@ -164,6 +164,59 @@ def test_sample_rejects_empty_request():
         sample(reduced("normal"), 2.5, 1)
 
 
+# keys with non-zero high 64 bits, the top key and a numpy integer included
+BATCH_KEYS = [0, 7, (1 << 64) + 3, (20140101 << 64) + 1023, (1 << 128) - 1, np.uint64(42)]
+BATCH_SPECS = [
+    reduced("gumbel"), reduced("normal"), DistributionSpec("lognormal3", -0.5, 0.7, 1.0)
+]
+
+
+@pytest.mark.parametrize("d", BATCH_SPECS, ids=lambda d: d.family)
+def test_sample_batch_rows_equal_one_key_draws(d):
+    batch = sample(d, 13, BATCH_KEYS)
+    assert batch.shape == (len(BATCH_KEYS), 13)
+    stacked = np.stack([sample(d, 13, k) for k in BATCH_KEYS])
+    assert np.array_equal(batch, stacked)
+    # the one-key draw is the inverse CDF of a fresh Philox(key=k) stream
+    for k, row in zip(BATCH_KEYS, batch):
+        u = np.random.Generator(np.random.Philox(key=int(k))).random(13)
+        assert np.array_equal(row, quantile(d, u))
+
+
+def test_sample_batch_accepts_any_key_sequence():
+    d = reduced("gumbel")
+    ref = sample(d, 4, [5, 6, 7])
+    for keys in ((5, 6, 7), range(5, 8), np.arange(5, 8), np.arange(5, 8, dtype=np.uint64)):
+        assert np.array_equal(sample(d, 4, keys), ref)
+    # a one-key sequence keeps its row axis; a bare key does not
+    assert sample(d, 4, [5]).shape == (1, 4)
+    assert sample(d, 4, np.int64(5)).shape == (4,)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.0), True, np.bool_(True), "3", None, 1j])
+def test_sample_rejects_non_int_keys(bad):
+    d = reduced("normal")
+    with pytest.raises(TypeError):
+        sample(d, 3, bad)
+    with pytest.raises(TypeError):
+        sample(d, 3, [1, bad, 2])
+
+
+@pytest.mark.parametrize("bad", [-1, np.int64(-5), 1 << 128])
+def test_sample_rejects_out_of_range_keys(bad):
+    d = reduced("normal")
+    with pytest.raises(ValueError):
+        sample(d, 3, bad)
+    with pytest.raises(ValueError):
+        sample(d, 3, [1, bad])
+
+
+def test_sample_rejects_empty_key_sequence():
+    for empty in ([], (), np.array([], dtype=np.int64)):
+        with pytest.raises(ValueError):
+            sample(reduced("gumbel"), 3, empty)
+
+
 def test_sample_distribution_sanity():
     d = DistributionSpec("normal", a=10.0, b=2.0)
     s = sample(d, 60_000, 7)

@@ -202,10 +202,14 @@ def _with_kept(a: np.ndarray, b: np.ndarray, converged=True):
 def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
     """Fit every estimator on the same replicate samples (common random numbers)."""
     n, M = cfg.n, cfg.replicates
+    # bitwise-equal designs (tukey and kerman) are fitted once, keyed by bytes
     design = {}
+    key_of = {MLE_KEY: MLE_KEY} if cfg.include_mle else {}
     for f in cfg.formulas:
         pset = positions_for(f, n, family=cfg.family)
-        design[f.label] = reduced_quantile(cfg.family, pset.p)
+        z = reduced_quantile(cfg.family, pset.p)
+        key_of[f.label] = z.tobytes()
+        design[z.tobytes()] = z
 
     starts = list(range(0, M, _CHUNK))
 
@@ -226,12 +230,11 @@ def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(work, starts))
 
-    out: dict[str, EstimatorParams] = {}
-    keys = list(design) + ([MLE_KEY] if cfg.include_mle else [])
-    for key in keys:
+    fitted = {}
+    for key in set(key_of.values()):
         a, b, kept = (np.concatenate([c[key][k] for c in chunks]) for k in range(3))
-        out[key] = EstimatorParams(a=a, b=b, kept=kept)
-    return out
+        fitted[key] = EstimatorParams(a=a, b=b, kept=kept)
+    return {label: fitted[key] for label, key in key_of.items()}
 
 
 def _iqse_values(params: EstimatorParams, zg: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -350,12 +353,14 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
     rows = []
     order = ([MLE_KEY] if cfg.include_mle else []) + list(cfg.formula_keys())
     by_label = {f.label: f for f in cfg.formulas}
+    scores = {}  # estimators that share an EstimatorParams are scored once
     for key in order:
         est = params[key]
-        iq_vals = _iqse_values(est, zg, w)
-        iq, iq_se = _mean_se(iq_vals)
-        if_vals = _ifse_values(est, cfg.family, cfg.f_grid, zg, w)
-        if_, if_se = _mean_se(if_vals)
+        if id(est) not in scores:
+            iq_vals = _iqse_values(est, zg, w)
+            if_vals = _ifse_values(est, cfg.family, cfg.f_grid, zg, w)
+            scores[id(est)] = _mean_se(iq_vals) + _mean_se(if_vals)
+        iq, iq_se, if_, if_se = scores[id(est)]
         if key == MLE_KEY:
             d = combined = None
         else:

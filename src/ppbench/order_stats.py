@@ -8,12 +8,15 @@ arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
 Python calls. The exact route is the reference the expansion is judged
 against and is cost-guarded to moderate N. It is trapezoid quadrature on
 fixed nodes: one array evaluation per (family, N) gives the first two
-moments of every rank, and one blocked evaluation gives the joint moments
-E[Z_i Z_j] of every pair, cached as one symmetric N x N table whose
-diagonal holds E[Z_i^2]. Each error is estimated from the same nodes at
-twice the step and must stay below EXACT_MEAN_TOL (means) or EXACT_COV_TOL
-(second and joint moments). exact_cov broadcasts over rank arrays like
-expansion_cov, reading those two cached tables.
+moments of every rank. Only the exponents of the pair density's factors F1,
+F2 - F1 and S2 depend on the pair, so one contraction of their power tables
+per block of z1 rows (factors in linear space, F2 - F1 as S1 - S2 where
+F1 >= 1/2) gives the joint moments E[Z_i Z_j] of every pair, cached as one
+symmetric N x N table whose diagonal holds E[Z_i^2]. Each error is
+estimated from the same nodes at twice the step and must stay below
+EXACT_MEAN_TOL (means) or EXACT_COV_TOL (second and joint moments).
+exact_cov broadcasts over rank arrays like expansion_cov, reading those two
+cached tables.
 """
 
 from __future__ import annotations
@@ -141,6 +144,23 @@ def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
 
 
+def _parent(family: str, z: np.ndarray, k=None):
+    """f, F on the first k rows of z (all by default) and S = 1 - F, in linear space."""
+    if family == GUMBEL:
+        e = np.exp(-z)
+        F = np.exp(-e)
+        return e * F, F[:k], -np.expm1(-e)
+    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI), special.ndtr(z[:k]), special.ndtr(-z)
+
+
+def _pair_factors(family: str, z1: np.ndarray, z2: np.ndarray):
+    """f1, F1, f2, S2 and F2 - F1, as S1 - S2 where F1 >= 1/2 to stay accurate."""
+    f1, F1, S1 = _parent(family, z1)
+    k = int(np.count_nonzero(F1 < 0.5))  # z1 is a column of increasing nodes
+    f2, F2, S2 = _parent(family, z2, k)
+    return f1, F1, f2, S2, np.concatenate([F2 - F1[:k], S1[k:] - S2[k:]])
+
+
 def _log_parent(family: str, z: np.ndarray):
     """log f, log F and log S = log(1 - F) of the reduced parent at z."""
     if family == GUMBEL:
@@ -150,8 +170,8 @@ def _log_parent(family: str, z: np.ndarray):
 
 
 def _check_trapezoid(fine, coarse, tol: float, what: str) -> None:
-    err = float(np.max(np.abs(fine - coarse)))
-    if err > tol:
+    err = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if not err <= tol:  # a NaN estimate fails too
         raise QuadratureError("%s quadrature error %.3e exceeds %.1e" % (what, err, tol))
 
 
@@ -215,10 +235,15 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     grid of step _COV_STEP_S (Jacobian t). The integrand is analytic and
     decays fast at both ends of both variables, so the rule converges
     exponentially in 1/step; it is negligible at the grid's edges, so their
-    half weights are dropped. The joint density is built in log form from
-    log f, log F, log S and log(F2 - F1), which are evaluated once per block
-    of z1 rows and shared by all pairs; F2 - F1 is formed as S1 - S2 where
-    F1 >= 1/2, to keep it accurate in the upper tail.
+    half weights are dropped.
+
+    The pair density is c_ij f1 f2 F1^(i-1) (F2 - F1)^(j-i-1) S2^(N-j); only
+    its exponents depend on the pair, so no step runs once per pair. Each
+    block of z1 rows evaluates the factors once in linear space (F2 - F1 is
+    S1 - S2 on rows where F1 >= 1/2, see _pair_factors), builds the powers
+    (F2 - F1)^b and S2^g, b, g = 0..N-2, by repeated multiplication and
+    contracts them over t, K[z1, b, g] = sum_t z2 t f2 (F2 - F1)^b S2^g; a
+    pair's integral is c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j].
 
     The error estimate per pair is |I_h - I_2h|, where I_2h sums the even
     nodes of the same grid in both variables; QuadratureError is raised if
@@ -227,44 +252,29 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     lo, hi = _COV_Z1_RANGE[family]
     z = _nodes(lo, hi, _COV_STEP_Z)
     t = np.exp(_nodes(*_COV_S_RANGE, _COV_STEP_S))
-    ii, jj = np.triu_indices(n, 1)
-    i, j = ii + 1, jj + 1
-    logc = (
-        special.gammaln(n + 1)
-        - special.gammaln(i)
-        - special.gammaln(j - i)
-        - special.gammaln(n - j + 1)
-    )
-    fine = np.zeros(i.size)
-    coarse = np.zeros(i.size)
+    m = n - 1  # powers 0..N-2 of F1, F2 - F1 and S2
+    fine, coarse = np.zeros((2, m, m, m))  # [i-1, j-i-1, N-j], summed over z1, t
     for start in range(0, z.size, _COV_BLOCK):
         z1 = z[start : start + _COV_BLOCK, None]
         z2 = z1 + t
-        lf1, lF1, lS1 = _log_parent(family, z1)
-        lf2, lF2, lS2 = _log_parent(family, z2)
-        F1 = np.exp(lF1)
-        dF = np.where(F1 >= 0.5, np.exp(lS1) - np.exp(lS2), np.exp(lF2) - F1)
-        with np.errstate(divide="ignore"):
-            ldF = np.log(dF)
-        base = lf1 + lf2
-        moment = z1 * z2 * t
-        for k in range(i.size):
-            # zero exponents are skipped so that log(0) never multiplies 0
-            logd = base + logc[k]
-            if i[k] > 1:
-                logd = logd + (i[k] - 1) * lF1
-            if j[k] - i[k] > 1:
-                logd = logd + (j[k] - i[k] - 1) * ldF
-            if n - j[k] > 0:
-                logd = logd + (n - j[k]) * lS2
-            g = moment * np.exp(logd)
-            fine[k] += g.sum()
-            coarse[k] += g[::2, ::2].sum()
-    cell = _COV_STEP_Z * _COV_STEP_S
-    fine *= cell
-    _check_trapezoid(fine, 4.0 * cell * coarse, EXACT_COV_TOL, "joint-moment")
+        f1, F1, f2, S2, dF = _pair_factors(family, z1, z2)
+        A, Q = np.empty((2, m) + z2.shape)  # (power, row, t); no power when N = 1
+        A[:1], Q[:1] = z2 * t * f2, 1.0
+        for p in range(1, m):
+            np.multiply(A[p - 1], dF, out=A[p])
+            np.multiply(Q[p - 1], S2, out=Q[p])
+        A, Q = A.transpose(1, 0, 2), Q.transpose(1, 2, 0)
+        R = z1 * f1 * F1 ** np.arange(m)
+        fine += np.tensordot(R, np.matmul(A, Q), (0, 0))
+        coarse += np.tensordot(R[::2], np.matmul(A[::2, :, ::2], Q[::2, ::2]), (0, 0))
+    ii, jj = np.triu_indices(n, 1)
+    pair = (ii, jj - ii - 1, n - 1 - jj)  # the exponents i-1, j-i-1 and N-j
+    fact = np.array([math.factorial(r) for r in range(n + 1)], dtype=float)
+    scale = fact[n] / fact[np.stack(pair)].prod(axis=0) * (_COV_STEP_Z * _COV_STEP_S)
+    values = scale * fine[pair]
+    _check_trapezoid(values, 4.0 * scale * coarse[pair], EXACT_COV_TOL, "joint-moment")
     table = np.diag(_exact_moments(family, n)[1])
-    table[ii, jj] = table[jj, ii] = fine
+    table[ii, jj] = table[jj, ii] = values
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 

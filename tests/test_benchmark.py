@@ -158,6 +158,35 @@ def test_run_suite_samples_through_module_attribute_once_per_chunk(monkeypatch):
     assert wrapped.rows == ref.rows
 
 
+def test_equal_designs_are_fitted_and_scored_once(monkeypatch):
+    # tukey and kerman share offsets (1/3, 1/3), so their designs are
+    # bitwise equal: one OLS fit per chunk and one IQSE/IFSE pass serve both
+    fits, scores = [], []
+    ols_batch, ifse_values = benchmark.ols_batch, benchmark._ifse_values
+
+    def counting_ols(X, z):
+        fits.append(len(X))
+        return ols_batch(X, z)
+
+    def counting_ifse(params, *args):
+        scores.append(params)
+        return ifse_values(params, *args)
+
+    monkeypatch.setattr(benchmark, "ols_batch", counting_ols)
+    monkeypatch.setattr(benchmark, "_ifse_values", counting_ifse)
+    cfg = ExperimentConfig(family="gumbel", n=5, replicates=1500)
+    rep = run_suite(cfg)
+    monkeypatch.undo()
+    assert sorted(fits) == [476] * 13 + [1024] * 13  # 14 formulas, 2 chunks
+    assert len(scores) == 14  # 13 distinct designs and the MLE baseline
+    assert [r.estimator for r in rep.rows] == [MLE_KEY] + list(cfg.formula_keys())
+    for label in ("tukey", "kerman"):
+        alone = run_suite(ExperimentConfig(family="gumbel", n=5, replicates=1500,
+                                           formulas=[label]))
+        assert rep.row(label) == alone.row(label)
+        assert rep.row(MLE_KEY) == alone.row(MLE_KEY)
+
+
 @pytest.mark.parametrize("block", [64, 4096])
 def test_ifse_rows_independent_of_block_size(monkeypatch, block):
     # 1000 replicates: 64 leaves a partial last block, 4096 is one block

@@ -266,6 +266,103 @@ def test_exact_mean_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
         exact_mean(family, 1, 30)
 
 
+def _per_pair_joint_moments(family, n):
+    """E[Z_i Z_j] for i < j, one log-form integrand per pair (upper triangle).
+
+    A transcription of the earlier per-pair kernel of _exact_joint_moments,
+    on the same nodes, kept as the reference its power-table contraction is
+    checked against.
+    """
+    lo, hi = order_stats._COV_Z1_RANGE[family]
+    z1 = order_stats._nodes(lo, hi, order_stats._COV_STEP_Z)[:, None]
+    t = np.exp(order_stats._nodes(*order_stats._COV_S_RANGE, order_stats._COV_STEP_S))
+    z2 = z1 + t
+    lf1, lF1, lS1 = order_stats._log_parent(family, z1)
+    lf2, lF2, lS2 = order_stats._log_parent(family, z2)
+    F1 = np.exp(lF1)
+    dF = np.where(F1 >= 0.5, np.exp(lS1) - np.exp(lS2), np.exp(lF2) - F1)
+    with np.errstate(divide="ignore"):
+        ldF = np.log(dF)
+    moment = z1 * z2 * t * (order_stats._COV_STEP_Z * order_stats._COV_STEP_S)
+    table = np.zeros((n, n))
+    for i in range(1, n):
+        for j in range(i + 1, n + 1):
+            logd = (lf1 + lf2 + special.gammaln(n + 1) - special.gammaln(i)
+                    - special.gammaln(j - i) - special.gammaln(n - j + 1))
+            # zero exponents are skipped so that log(0) never multiplies 0
+            if i > 1:
+                logd = logd + (i - 1) * lF1
+            if j - i > 1:
+                logd = logd + (j - i - 1) * ldF
+            if n - j > 0:
+                logd = logd + (n - j) * lS2
+            table[i - 1, j - 1] = (moment * np.exp(logd)).sum()
+    return table
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_match_per_pair_log_form(family, n, cold_exact_cov):
+    got = order_stats._exact_joint_moments(family, n)
+    upper = np.triu_indices(n, 1)
+    np.testing.assert_allclose(
+        got[upper], _per_pair_joint_moments(family, n)[upper], rtol=0, atol=1e-14
+    )
+    assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("family,tails", [("gumbel", (-3.0, 20.0)), ("normal", (-8.0, 8.0))])
+def test_pair_gap_is_accurate_in_both_tails(family, tails):
+    # F2 - F1 over a gap of 1e-3 deep in each tail, one row on each side of
+    # the median: either difference, taken on the wrong side, cancels to a
+    # relative error of 1e-5 or worse
+    if family == "gumbel":
+        def cdf(z):
+            return mp.exp(-mp.exp(-z))
+    else:
+        cdf = mp.ncdf
+    z1 = np.array(tails)[:, None]
+    z2 = z1 + 1e-3
+    gap = order_stats._pair_factors(family, z1, z2)[-1]
+    with mp.workdps(50):
+        want = [float(cdf(mp.mpf(b)) - cdf(mp.mpf(a))) for a, b in zip(z1[:, 0], z2[:, 0])]
+    np.testing.assert_allclose(gap[:, 0], want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_at_n20_fail_their_error_check(family, cold_exact_cov):
+    # the fixed grid is too coarse for the narrow high-rank pair densities at
+    # N = 20: the estimates are 2.0e-6 (Gumbel) and 3.0e-6 (normal)
+    with pytest.raises(QuadratureError):
+        order_stats._exact_joint_moments(family, 20)
+
+
+def test_trapezoid_check_rejects_nan():
+    with pytest.raises(QuadratureError):
+        order_stats._check_trapezoid(
+            np.array([np.nan, 1.0]), np.array([0.0, 1.0]), 1e-7, "x"
+        )
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_nan_raises_and_is_not_cached(family, monkeypatch, cold_exact_cov):
+    parent = order_stats._parent
+
+    def nan_parent(family, z, k=None):
+        f, F, S = parent(family, z, k)
+        return np.where(z > 2.0, np.nan, f), F, S
+
+    monkeypatch.setattr(order_stats, "_parent", nan_parent)
+    with pytest.raises(QuadratureError):
+        order_stats._exact_joint_moments(family, 5)
+    assert order_stats._exact_joint_moments.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_cov_single_observation_is_parent_variance(family):
+    assert exact_cov(family, 1, 1, 1) == pytest.approx(VAR_Z[family], abs=1e-9)
+
+
 def test_exact_mean_guards():
     with pytest.raises(ValueError):
         exact_mean("gumbel", 0, 5)

@@ -38,7 +38,7 @@ from .distributions import (
 )
 from .estimation import GLS, MLE, OLS, fit_gls, fit_mle, fit_ols
 from .gof import mad_case3, mad_known_params
-from .order_stats import COV_MODES, EXPANSION, build_moments
+from .order_stats import COV_MODES, EXACT, EXPANSION, build_moments
 from .positions import (
     ALL_IDS,
     EUPP_ID,
@@ -146,7 +146,9 @@ def _fit(x: np.ndarray, family: str, args, cov_mode: str):
         return fit_mle(x, family), None, None
     if args.method == GLS:
         moments = build_moments(family, int(x.size), k=args.k, cov_mode=cov_mode)
-        label = "expected order statistics (k=%d, %s)" % (args.k, cov_mode)
+        # exact moments have no truncation level
+        design = EXACT if cov_mode == EXACT else "k=%d, %s" % (args.k, cov_mode)
+        label = "expected order statistics (%s)" % design
         return fit_gls(x, moments), moments.y, label
     y, label = _formula_design(x, family, args)
     return fit_ols(x, y, family=family), y, label

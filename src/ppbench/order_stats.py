@@ -8,15 +8,18 @@ arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
 Python calls. The exact route is the reference the expansion is judged
 against and is cost-guarded to moderate N. It is trapezoid quadrature on
 fixed nodes: one array evaluation per (family, N) gives the first two
-moments of every rank. Only the exponents of the pair density's factors F1,
-F2 - F1 and S2 depend on the pair, so one contraction of their power tables
-per block of z1 rows (factors in linear space, F2 - F1 as S1 - S2 where
-F1 >= 1/2) gives the joint moments E[Z_i Z_j] of every pair, cached as one
-symmetric N x N table whose diagonal holds E[Z_i^2]. Each error is
-estimated from the same nodes at twice the step and must stay below
-EXACT_MEAN_TOL (means) or EXACT_COV_TOL (second and joint moments).
-exact_cov broadcasts over rank arrays like expansion_cov, reading those two
-cached tables.
+moments of every rank. The joint moments integrate over z1 and the gap
+t = z2 - z1 > 0, mapped by the double-exponential t = exp(s - exp(-s))
+(Takahasi & Mori, 1974): the integrand then decays double-exponentially in s
+as t -> 0, so 108 s nodes reach t ~ 1e-16 and that end needs no truncation.
+Only the exponents of the pair density's factors F1, F2 - F1 and S2 depend
+on the pair, so one contraction of their power tables per block of z1 rows
+(factors in linear space, F2 - F1 as S1 - S2 where F1 >= 1/2) gives the
+joint moments E[Z_i Z_j] of every pair, cached as one symmetric N x N table
+whose diagonal holds E[Z_i^2]. Each error is estimated from the same nodes
+at twice the step and must stay below EXACT_MEAN_TOL (means) or
+EXACT_COV_TOL (second and joint moments). exact_cov broadcasts over rank
+arrays like expansion_cov, reading those two cached tables.
 """
 
 from __future__ import annotations
@@ -129,12 +132,15 @@ def expansion_cov(family: str, i, j, n: int):
 
 # Fixed nodes of the exact quadratures: z1 in _exact_moments and
 # _exact_joint_moments, the gap s in the latter. Beyond the ends of the z1
-# range each parent's density is below about 1e-17; the inner gap
-# t = z2 - z1 = exp(s) runs from exp(-25) ~ 1.4e-11 to about 50.
+# range each parent's density is below about 1e-17. The inner gap
+# t = z2 - z1 = exp(s - exp(-s)) runs from about 1.3e-16 (s = -3.5) to about
+# 53; the strip of t below the first node holds about 1e-16 of a pair's
+# integral, under double rounding, and beyond the last the pair density is
+# negligible.
 _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
-_COV_S_RANGE = (-25.0, math.log(50.0))
+_COV_S_RANGE = (-3.5, 4.0)
 _COV_STEP_Z = 0.05
-_COV_STEP_S = 0.1
+_COV_STEP_S = 0.07
 _COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -231,19 +237,24 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     integrated once and fills both triangles.
 
     One trapezoid rule on fixed nodes serves every pair: z1 on a uniform grid
-    of step _COV_STEP_Z, and the gap t = z2 - z1 = exp(s) with s on a uniform
-    grid of step _COV_STEP_S (Jacobian t). The integrand is analytic and
-    decays fast at both ends of both variables, so the rule converges
-    exponentially in 1/step; it is negligible at the grid's edges, so their
-    half weights are dropped.
+    of step _COV_STEP_Z, and the gap t = z2 - z1 = exp(s - exp(-s)) with s on
+    a uniform grid of step _COV_STEP_S over _COV_S_RANGE (Jacobian
+    t (1 + exp(-s))). The pair density is bounded as t -> 0, so there the
+    integrand in s falls like the Jacobian, double-exponentially, and the
+    first node, t ~ 1e-16, leaves nothing to truncate. For large s the map is
+    t ~ exp(s), and the density's own decay ends the grid. The integrand is
+    analytic in both variables, so the rule converges exponentially in
+    1/step; it is negligible at the grid's edges, so their half weights are
+    dropped.
 
     The pair density is c_ij f1 f2 F1^(i-1) (F2 - F1)^(j-i-1) S2^(N-j); only
     its exponents depend on the pair, so no step runs once per pair. Each
     block of z1 rows evaluates the factors once in linear space (F2 - F1 is
     S1 - S2 on rows where F1 >= 1/2, see _pair_factors), builds the powers
     (F2 - F1)^b and S2^g, b, g = 0..N-2, by repeated multiplication and
-    contracts them over t, K[z1, b, g] = sum_t z2 t f2 (F2 - F1)^b S2^g; a
-    pair's integral is c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j].
+    contracts them over t with the Jacobian J,
+    K[z1, b, g] = sum_t z2 J f2 (F2 - F1)^b S2^g; a pair's integral is
+    c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j].
 
     The error estimate per pair is |I_h - I_2h|, where I_2h sums the even
     nodes of the same grid in both variables; QuadratureError is raised if
@@ -251,7 +262,10 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     """
     lo, hi = _COV_Z1_RANGE[family]
     z = _nodes(lo, hi, _COV_STEP_Z)
-    t = np.exp(_nodes(*_COV_S_RANGE, _COV_STEP_S))
+    s = _nodes(*_COV_S_RANGE, _COV_STEP_S)
+    e = np.exp(-s)
+    t = np.exp(s - e)
+    jac = t * (1.0 + e)
     m = n - 1  # powers 0..N-2 of F1, F2 - F1 and S2
     fine, coarse = np.zeros((2, m, m, m))  # [i-1, j-i-1, N-j], summed over z1, t
     for start in range(0, z.size, _COV_BLOCK):
@@ -259,7 +273,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
         z2 = z1 + t
         f1, F1, f2, S2, dF = _pair_factors(family, z1, z2)
         A, Q = np.empty((2, m) + z2.shape)  # (power, row, t); no power when N = 1
-        A[:1], Q[:1] = z2 * t * f2, 1.0
+        A[:1], Q[:1] = z2 * jac * f2, 1.0
         for p in range(1, m):
             np.multiply(A[p - 1], dF, out=A[p])
             np.multiply(Q[p - 1], S2, out=Q[p])

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ppbench import classical_positions, sample, reduced
+from ppbench import build_moments, classical_positions, fit_gls, sample, reduced
 from ppbench.cli import main
 
 try:
@@ -102,6 +102,34 @@ def test_fit_methods_agree_roughly(values_csv, capsys):
     for method, p in results.items():
         assert p["method"] == method
     assert results["ols"]["a_hat"] == pytest.approx(results["mle"]["a_hat"], abs=0.5)
+
+
+def _values_file(tmp_path, n):
+    path = tmp_path / ("vals%d.csv" % n)
+    x = sample(reduced("gumbel"), n, 7)
+    path.write_text("value\n" + "".join("%r\n" % float(v) for v in x))
+    return str(path), np.sort(x)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_fit_gls_exact_matches_library(tmp_path, capsys, family):
+    path, x = _values_file(tmp_path, 5)
+    assert main(["fit", "--input", path, "--family", family, "--method", "gls",
+                 "--cov-mode", "exact"]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    want = fit_gls(x, build_moments(family, 5, cov_mode="exact"))
+    assert (payload["a_hat"], payload["b_hat"]) == (want.a_hat, want.b_hat)
+    # exact moments have no truncation level
+    assert payload["formula"] == "expected order statistics (exact)"
+
+
+def test_fit_gls_exact_size_guard(tmp_path, capsys):
+    path, _ = _values_file(tmp_path, 11)
+    assert main(["fit", "--input", path, "--family", "gumbel", "--method", "gls",
+                 "--cov-mode", "exact"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limited to N <= 10" in captured.err
 
 
 def test_fit_missing_value_column(tmp_path, capsys):

@@ -59,23 +59,24 @@ def test_normal_order_means_are_antisymmetric():
 
 
 def test_normal_pair_covariance_is_inverse_pi():
-    assert exact_cov("normal", 1, 2, 2) == pytest.approx(1 / math.pi, abs=1e-9)
+    assert exact_cov("normal", 1, 2, 2) == pytest.approx(1 / math.pi, abs=1e-14)
 
 
 def test_normal_pair_variance():
-    assert exact_cov("normal", 2, 2, 2) == pytest.approx(1 - 1 / math.pi, abs=1e-9)
+    assert exact_cov("normal", 2, 2, 2) == pytest.approx(1 - 1 / math.pi, abs=1e-14)
 
 
 def test_gumbel_pair_covariance_is_log_two_squared():
-    assert exact_cov("gumbel", 1, 2, 2) == pytest.approx(math.log(2) ** 2, abs=1e-9)
+    assert exact_cov("gumbel", 1, 2, 2) == pytest.approx(math.log(2) ** 2, abs=1e-14)
 
 
 def test_gumbel_pair_variances():
     pi2_6 = math.pi**2 / 6
-    # max of two standard Gumbels is Gumbel(log 2, 1)
-    assert exact_cov("gumbel", 2, 2, 2) == pytest.approx(pi2_6, abs=1e-9)
+    # max of two standard Gumbels is Gumbel(log 2, 1); the z1 nodes end at 40,
+    # beyond which z^2 times its density 2 f F integrates to about 1.4e-14
+    assert exact_cov("gumbel", 2, 2, 2) == pytest.approx(pi2_6, abs=2e-14)
     assert exact_cov("gumbel", 1, 1, 2) == pytest.approx(
-        pi2_6 - 2 * math.log(2) ** 2, abs=1e-9
+        pi2_6 - 2 * math.log(2) ** 2, abs=1e-14
     )
 
 
@@ -170,14 +171,14 @@ def _exact_v(family, n):
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_cov_total_is_n_times_parent_variance(family, n):
     # the order statistics sum to the sample total, whose variance is n Var(Z)
-    assert _exact_v(family, n).sum() == pytest.approx(n * VAR_Z[family], abs=1e-8)
+    assert _exact_v(family, n).sum() == pytest.approx(n * VAR_Z[family], abs=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_exact_cov_normal_rows_and_reflection(n):
     V = _exact_v("normal", n)
     # Z_(i) - mean is independent of the mean, so Cov(Z_(i), sum Z) = Var(Z) = 1
-    np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(V.sum(axis=1), 1.0, rtol=0, atol=1e-13)
     # the normal is symmetric: V[i, j] = V[n+1-j, n+1-i]
     np.testing.assert_allclose(V, V[::-1, ::-1].T, rtol=0, atol=1e-12)
 
@@ -270,12 +271,13 @@ def _per_pair_joint_moments(family, n):
     """E[Z_i Z_j] for i < j, one log-form integrand per pair (upper triangle).
 
     A transcription of the earlier per-pair kernel of _exact_joint_moments,
-    on the same nodes, kept as the reference its power-table contraction is
-    checked against.
+    on the same nodes and with the same Jacobian, kept as the reference its
+    power-table contraction is checked against.
     """
     lo, hi = order_stats._COV_Z1_RANGE[family]
     z1 = order_stats._nodes(lo, hi, order_stats._COV_STEP_Z)[:, None]
-    t = np.exp(order_stats._nodes(*order_stats._COV_S_RANGE, order_stats._COV_STEP_S))
+    s = order_stats._nodes(*order_stats._COV_S_RANGE, order_stats._COV_STEP_S)
+    t = np.exp(s - np.exp(-s))
     z2 = z1 + t
     lf1, lF1, lS1 = order_stats._log_parent(family, z1)
     lf2, lF2, lS2 = order_stats._log_parent(family, z2)
@@ -283,7 +285,8 @@ def _per_pair_joint_moments(family, n):
     dF = np.where(F1 >= 0.5, np.exp(lS1) - np.exp(lS2), np.exp(lF2) - F1)
     with np.errstate(divide="ignore"):
         ldF = np.log(dF)
-    moment = z1 * z2 * t * (order_stats._COV_STEP_Z * order_stats._COV_STEP_S)
+    jac = t * (1.0 + np.exp(-s))
+    moment = z1 * z2 * jac * (order_stats._COV_STEP_Z * order_stats._COV_STEP_S)
     table = np.zeros((n, n))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
@@ -330,11 +333,21 @@ def test_pair_gap_is_accurate_in_both_tails(family, tails):
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
-def test_joint_moments_at_n20_fail_their_error_check(family, cold_exact_cov):
+def test_joint_moments_at_n20_pass_their_error_check(family, cold_exact_cov):
+    # beyond the N <= 10 guard of exact_cov, read through the private tables:
+    # the estimates are 3.3e-8 (Gumbel) and 6.4e-8 (normal)
+    n = 20
+    mean = order_stats._exact_moments(family, n)[0]
+    V = order_stats._exact_joint_moments(family, n) - np.outer(mean, mean)
+    assert V.sum() == pytest.approx(n * VAR_Z[family], abs=1e-13)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_at_n30_fail_their_error_check(family, cold_exact_cov):
     # the fixed grid is too coarse for the narrow high-rank pair densities at
-    # N = 20: the estimates are 2.0e-6 (Gumbel) and 3.0e-6 (normal)
+    # N = 30: the estimates are 4.6e-7 (Gumbel) and 4.8e-6 (normal)
     with pytest.raises(QuadratureError):
-        order_stats._exact_joint_moments(family, 20)
+        order_stats._exact_joint_moments(family, 30)
 
 
 def test_trapezoid_check_rejects_nan():

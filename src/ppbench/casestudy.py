@@ -141,7 +141,7 @@ def analyze_month(
     mags = np.asarray(record.magnitudes, dtype=float)
     if mags.size < 5:
         raise ValueError("need at least five magnitudes above the threshold")
-    if np.any(mags <= c):
+    if (mags <= c).any():
         raise ThresholdError(
             "month %s holds magnitudes at or below %g; filter before analysis"
             % (record.month_label, c)

@@ -104,6 +104,14 @@ def _as_array(x):
     return arr, (arr.ndim == 0)
 
 
+def _as_probabilities(p):
+    arr, scalar = _as_array(p)
+    # array methods, not np.any: these checks run on every quantile call
+    if (arr <= 0.0).any() or (arr >= 1.0).any():
+        raise DomainError("probability must lie strictly inside (0, 1)")
+    return arr, scalar
+
+
 def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
@@ -143,9 +151,7 @@ def reduced_cdf(family: str, z):
 def reduced_quantile(family: str, p):
     """Quantile of the reduced variate; vectorized, domain p in (0, 1)."""
     family = paper_family(family)
-    arr, scalar = _as_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("probability must lie strictly inside (0, 1)")
+    arr, scalar = _as_probabilities(p)
     return _ret(_quantile_z(family, arr), scalar)
 
 
@@ -203,9 +209,7 @@ def pdf(d: DistributionSpec, x):
 
 def quantile(d: DistributionSpec, p):
     """Inverse CDF. Raises DomainError unless p lies strictly in (0, 1)."""
-    arr, scalar = _as_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("probability must lie strictly inside (0, 1)")
+    arr, scalar = _as_probabilities(p)
     return _ret(_from_reduced(d, _quantile_z(d.family, arr)), scalar)
 
 
@@ -234,9 +238,7 @@ def quantile_derivative(family: str, p, order: int):
         raise TypeError("order must be an int")
     if order < 1 or order > 4:
         raise ValueError("unsupported derivative order %d, expected 1..4" % order)
-    arr, scalar = _as_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("probability must lie strictly inside (0, 1)")
+    arr, scalar = _as_probabilities(p)
 
     if family == GUMBEL:
         L = np.log(arr)

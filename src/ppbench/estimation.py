@@ -78,7 +78,7 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     if x.size < 3:
         raise ValueError("need at least three points to fit a line")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
     return x, y
 
@@ -114,13 +114,13 @@ def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
 
     Solves the whitened normal equations through the Cholesky factor
     ``moments.L`` of the covariance; the covariance inverse is never formed
-    explicitly.
+    explicitly. The columns [1, y, x] are whitened together by one
+    triangular solve.
     """
     x, y = _check_xy(x_sorted, moments.y)
-    A = np.column_stack([np.ones_like(y), y])
-    Aw = solve_triangular(moments.L, A, lower=True)
-    xw = solve_triangular(moments.L, x, lower=True)
-    theta, _, rank, _ = np.linalg.lstsq(Aw, xw, rcond=None)
+    B = np.column_stack([np.ones_like(y), y, x])
+    Bw = solve_triangular(moments.L, B, lower=True)
+    theta, _, rank, _ = np.linalg.lstsq(Bw[:, :2], Bw[:, 2], rcond=None)
     if rank < 2:
         raise DegenerateSampleError("design ordinates are constant")
     a, b = float(theta[0]), float(theta[1])

@@ -8,6 +8,7 @@ corrected statistic: 0.787 at the 5% level and 0.918 at the 2.5% level.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -48,8 +49,9 @@ def _classify(a2_modified: float) -> str:
 
 
 def _a2_statistic(u: np.ndarray) -> float:
+    # u is sorted, as the statistic needs, so only its ends can reach 0 or 1
     n = u.size
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
+    if u[0] <= 0.0 or u[-1] >= 1.0:
         # Ties or extreme standardized values can push the transform onto
         # the boundary in floating point, where the log terms blow up.
         warnings.warn(
@@ -86,9 +88,18 @@ def _check_sample(x) -> np.ndarray:
         raise ValueError("sample must be one-dimensional")
     if x.size < _MIN_N:
         raise ValueError("need at least %d observations, got %d" % (_MIN_N, x.size))
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("sample must be finite")
     return np.sort(x)
+
+
+def _mean_sd(xs: np.ndarray) -> tuple[float, float]:
+    # the arithmetic of xs.mean() and xs.std(ddof=1), bit for bit, without
+    # numpy's Python-level reduction wrappers
+    n = xs.size
+    mean = float(np.add.reduce(xs)) / n
+    d = xs - mean
+    return mean, math.sqrt(float(np.add.reduce(d * d)) / (n - 1))
 
 
 def mad_case3(x) -> MadResult:
@@ -98,8 +109,7 @@ def mad_case3(x) -> MadResult:
     normal family.
     """
     xs = _check_sample(x)
-    mean = float(xs.mean())
-    sd = float(xs.std(ddof=1))
+    mean, sd = _mean_sd(xs)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
     u = special.ndtr((xs - mean) / sd)

@@ -64,7 +64,7 @@ def _check_indices(i, n: int) -> np.ndarray:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("sample size must be a positive int, got %r" % (n,))
     r = np.asarray(i)
-    if r.dtype.kind not in "iu" or np.any(r < 1) or np.any(r > n):
+    if r.dtype.kind not in "iu" or (r < 1).any() or (r > n).any():
         raise ValueError("order index must be ints with 1 <= i <= N, got i=%r" % (i,))
     return r
 
@@ -108,6 +108,11 @@ def expansion_cov(family: str, i, j, n: int):
 
     a sum of three products of a factor of i and a factor of j. For i > j
     the ranks swap, which is exactly the symmetry of the covariance.
+
+    For a column of ranks against the same ranks as a row (the grid
+    build_moments asks for) the products are evaluated once and the lower
+    triangle is read from their transpose: bitwise what the swapped ranks
+    give. Other shapes evaluate both orders.
     """
     family = paper_family(family)
     i = _check_indices(i, n) - 1
@@ -124,9 +129,17 @@ def expansion_cov(family: str, i, j, n: int):
     v1, v2, v3 = w * g1, w * h, w * q * g2
 
     def upper(lo, hi):
-        return u1[lo] * v1[hi] + u2[lo] * v2[hi] + u3[lo] * v3[hi]
+        # summed in place, left to right: one grid-sized temporary per term
+        out = u1[lo] * v1[hi]
+        out += u2[lo] * v2[hi]
+        out += u3[lo] * v3[hi]
+        return out
 
-    cov = np.where(i <= j, upper(i, j), upper(j, i))
+    U = upper(i, j)
+    if i.ndim == 2 and i.shape[1] == 1 and j.ndim == 1 and np.array_equal(i[:, 0], j):
+        cov = np.where(i <= j, U, U.T)
+    else:
+        cov = np.where(i <= j, U, upper(j, i))
     return float(cov) if cov.ndim == 0 else cov
 
 

@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 from .distributions import canonical_family, reduced_quantile
 
@@ -33,7 +36,8 @@ class PlotSpec:
 
     points are (reduced_variate, value) pairs; they are stored sorted by the
     reduced variate. fitted_line is an optional (intercept, slope) pair in
-    value = intercept + slope * reduced_variate form.
+    value = intercept + slope * reduced_variate form. Points and line
+    parameters must be finite (ValueError otherwise).
     """
 
     title: str
@@ -47,19 +51,18 @@ class PlotSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", canonical_family(self.family))
         pts = tuple(sorted((float(y), float(x)) for y, x in self.points))
+        if not all(map(math.isfinite, chain.from_iterable(pts))):
+            raise ValueError("points must be finite")
         object.__setattr__(self, "points", pts)
         ticks = tuple(float(t) for t in self.prob_ticks)
         if any(t <= 0.0 or t >= 1.0 for t in ticks):
             raise ValueError("probability ticks must lie strictly inside (0, 1)")
         object.__setattr__(self, "prob_ticks", ticks)
         if self.fitted_line is not None:
-            a, b = self.fitted_line
-            object.__setattr__(self, "fitted_line", (float(a), float(b)))
-
-
-def _fmt(v: float) -> str:
-    # fixed two-decimal pixel coordinates keep output byte-stable
-    return "%.2f" % v
+            a, b = (float(v) for v in self.fitted_line)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError("fitted line intercept and slope must be finite")
+            object.__setattr__(self, "fitted_line", (a, b))
 
 
 def _fmt_num(v: float) -> str:
@@ -87,34 +90,41 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 def emit_probability_paper(spec: PlotSpec, path: Optional[str] = None) -> str:
     """Render a PlotSpec to an SVG string; optionally write it to path."""
-    if len(spec.points) < 2:
+    n = len(spec.points)
+    if n < 2:
         raise ValueError("need at least two points to draw probability paper")
 
-    zs = [p[0] for p in spec.points]
-    xs = [p[1] for p in spec.points]
-    tick_z = [float(reduced_quantile(spec.family, t)) for t in spec.prob_ticks]
+    zs, xs = np.fromiter(chain.from_iterable(spec.points), float, 2 * n).reshape(n, 2).T
+    tick_z = reduced_quantile(spec.family, np.array(spec.prob_ticks))
 
-    z_lo, z_hi = min(zs + tick_z), max(zs + tick_z)
+    z_all = np.concatenate([zs, tick_z])
+    z_lo, z_hi = float(z_all.min()), float(z_all.max())
     z_pad = 0.04 * (z_hi - z_lo) or 1.0
     z_lo, z_hi = z_lo - z_pad, z_hi + z_pad
 
-    x_lo, x_hi = min(xs), max(xs)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
     if spec.fitted_line is not None:
         a, b = spec.fitted_line
         x_lo = min(x_lo, a + b * z_lo, a + b * z_hi)
         x_hi = max(x_hi, a + b * z_lo, a + b * z_hi)
     x_pad = 0.06 * (x_hi - x_lo) or 1.0
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    if not (math.isfinite(z_hi - z_lo) and math.isfinite(x_hi - x_lo)):
+        raise ValueError("points and line span too wide a range to draw")
 
     px0, px1 = _L, _W - _R
     py0, py1 = _T, _H - _B
 
-    def sx(z: float) -> float:
+    # map floats or arrays to pixels; the same expression either way, so a
+    # coordinate does not depend on how it was batched
+    def sx(z):
         return px0 + (z - z_lo) / (z_hi - z_lo) * (px1 - px0)
 
-    def sy(x: float) -> float:
+    def sy(x):
         return py1 - (x - x_lo) / (x_hi - x_lo) * (py1 - py0)
 
+    # pixel coordinates are written with a fixed two decimals (%.2f), which
+    # keeps the output byte-stable
     parts = []
     parts.append(
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -122,83 +132,79 @@ def emit_probability_paper(spec: PlotSpec, path: Optional[str] = None) -> str:
     )
     parts.append('<rect width="%d" height="%d" fill="white"/>' % (int(_W), int(_H)))
     parts.append(
-        '<text x="%s" y="22" font-family="sans-serif" font-size="14" '
-        'text-anchor="middle">%s</text>' % (_fmt((px0 + px1) / 2), escape(spec.title))
+        '<text x="%.2f" y="22" font-family="sans-serif" font-size="14" '
+        'text-anchor="middle">%s</text>' % ((px0 + px1) / 2, escape(spec.title))
     )
     parts.append(
-        '<rect x="%s" y="%s" width="%s" height="%s" fill="none" '
-        'stroke="black" stroke-width="1"/>'
-        % (_fmt(px0), _fmt(py0), _fmt(px1 - px0), _fmt(py1 - py0))
+        '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="none" '
+        'stroke="black" stroke-width="1"/>' % (px0, py0, px1 - px0, py1 - py0)
     )
 
     # probability scale along the top edge, dotted guides down the panel
-    for t, z in zip(spec.prob_ticks, tick_z):
-        X = sx(z)
+    for t, X in zip(spec.prob_ticks, sx(tick_z).tolist()):
         parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="silver" '
-            'stroke-width="0.5" stroke-dasharray="2,3"/>'
-            % (_fmt(X), _fmt(py0), _fmt(X), _fmt(py1))
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="silver" '
+            'stroke-width="0.5" stroke-dasharray="2,3"/>' % (X, py0, X, py1)
         )
         parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="1"/>'
-            % (_fmt(X), _fmt(py0 - 4), _fmt(X), _fmt(py0))
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
+            % (X, py0 - 4, X, py0)
         )
         parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="9" '
-            'text-anchor="middle">%s</text>' % (_fmt(X), _fmt(py0 - 7), _fmt_num(t))
+            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9" '
+            'text-anchor="middle">%s</text>' % (X, py0 - 7, _fmt_num(t))
         )
 
     for z in _nice_ticks(z_lo, z_hi):
         X = sx(z)
         parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="1"/>'
-            % (_fmt(X), _fmt(py1), _fmt(X), _fmt(py1 + 4))
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
+            % (X, py1, X, py1 + 4)
         )
         parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="10" '
-            'text-anchor="middle">%s</text>' % (_fmt(X), _fmt(py1 + 16), _fmt_num(z))
+            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
+            'text-anchor="middle">%s</text>' % (X, py1 + 16, _fmt_num(z))
         )
 
     for x in _nice_ticks(x_lo, x_hi):
         Y = sy(x)
         parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="1"/>'
-            % (_fmt(px0 - 4), _fmt(Y), _fmt(px0), _fmt(Y))
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
+            % (px0 - 4, Y, px0, Y)
         )
         parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="10" '
-            'text-anchor="end">%s</text>' % (_fmt(px0 - 7), _fmt(Y + 3), _fmt_num(x))
+            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
+            'text-anchor="end">%s</text>' % (px0 - 7, Y + 3, _fmt_num(x))
         )
 
     parts.append(
-        '<text x="%s" y="%s" font-family="sans-serif" font-size="11" '
-        'text-anchor="middle">%s</text>'
-        % (_fmt((px0 + px1) / 2), _fmt(py1 + 34), escape(spec.x_label))
+        '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="11" '
+        'text-anchor="middle">%s</text>' % ((px0 + px1) / 2, py1 + 34, escape(spec.x_label))
     )
     parts.append(
-        '<text x="16" y="%s" font-family="sans-serif" font-size="11" '
-        'text-anchor="middle" transform="rotate(-90 16 %s)">%s</text>'
-        % (_fmt((py0 + py1) / 2), _fmt((py0 + py1) / 2), escape(spec.y_label))
+        '<text x="16" y="%.2f" font-family="sans-serif" font-size="11" '
+        'text-anchor="middle" transform="rotate(-90 16 %.2f)">%s</text>'
+        % ((py0 + py1) / 2, (py0 + py1) / 2, escape(spec.y_label))
     )
     parts.append(
-        '<text x="%s" y="%s" font-family="sans-serif" font-size="9" '
+        '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9" '
         'text-anchor="start">cumulative probability (%s)</text>'
-        % (_fmt(px0), _fmt(py0 - 22), escape(spec.family))
+        % (px0, py0 - 22, escape(spec.family))
     )
 
     if spec.fitted_line is not None:
         a, b = spec.fitted_line
         parts.append(
-            '<line class="fit" x1="%s" y1="%s" x2="%s" y2="%s" '
+            '<line class="fit" x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
             'stroke="crimson" stroke-width="1.5"/>'
-            % (_fmt(sx(z_lo)), _fmt(sy(a + b * z_lo)), _fmt(sx(z_hi)), _fmt(sy(a + b * z_hi)))
+            % (sx(z_lo), sy(a + b * z_lo), sx(z_hi), sy(a + b * z_hi))
         )
 
-    for z, x in spec.points:
-        parts.append(
-            '<circle class="marker" cx="%s" cy="%s" r="3" fill="none" '
-            'stroke="navy" stroke-width="1.2"/>' % (_fmt(sx(z)), _fmt(sy(x)))
-        )
+    marker = (
+        '<circle class="marker" cx="%.2f" cy="%.2f" r="3" fill="none" '
+        'stroke="navy" stroke-width="1.2"/>'
+    )
+    parts.extend(marker % xy for xy in zip(sx(zs).tolist(), sy(xs).tolist()))
 
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"

@@ -495,6 +495,28 @@ def test_expansion_mean_broadcast_matches_scalar_calls(family, n):
         np.testing.assert_allclose(got, ref, rtol=KERNEL_RTOL, atol=0)
 
 
+# Rows of n = 201 checked by scalar calls; every other pair there goes through
+# the flattened pair list, which keeps the test fast.
+_SCALAR_ROWS_201 = (1, 2, 101, 200, 201)
+
+
+@pytest.mark.parametrize("n", [2, 3, 42, 201])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_build_moments_expansion_cov_equals_pairwise_kernel(family, n):
+    # build_moments evaluates the square grid once and mirrors it; each entry
+    # must be exactly what the kernel gives for that pair alone
+    m = build_moments(family, n)
+    assert m.ridge == 0.0  # V is the kernel's output, unrepaired
+    V = m.V
+    assert np.array_equal(V, V.T)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij"))
+    np.testing.assert_array_equal(V.ravel(), expansion_cov(family, i, j, n))
+    rows = range(1, n + 1) if n <= 42 else _SCALAR_ROWS_201
+    for a in rows:
+        for b in range(1, n + 1):
+            assert V[a - 1, b - 1] == expansion_cov(family, a, b, n), (a, b)
+
+
 @pytest.mark.parametrize(
     "bad", [np.array([0, 1, 2]), np.array([1, 2, 6]), np.array([1.0, 2.0]),
             np.array([True, False]), 2.0, True, 0, 6]

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -78,3 +81,52 @@ def test_coordinates_rounded_for_stability():
             val = svg[idx + len(token):svg.index('"', idx + len(token))]
             assert len(val.split(".")[-1]) <= 2, val
             start = idx + 1
+
+
+_AWKWARD_POINTS = ((5.5, -2.1), (-3.1, 4.0), (-0.5, 2.5), (-0.5, 2.5), (0.0, 2.0), (0.0, 2.25),
+                   (1.2, 1.0), (3.4, -0.75), (1.0 / 3.0, 1e-3))
+
+
+# Digests recorded from the scalar, point-by-point emitter; the array-built
+# one must write the same bytes. The awkward points hold ties, lie beyond
+# both ends of the probability ticks (gumbel ticks span about -1.53 .. 4.60)
+# and are fitted by negative slopes.
+@pytest.mark.parametrize("spec, digest", [
+    (PlotSpec(title="ties & <slope>", family="gumbel", points=_AWKWARD_POINTS,
+              fitted_line=(2.0, -0.8)),
+     "cd016ac2925a574e918b55255ac41d763a42c204b672bea5bb65982bb1dda201"),
+    (PlotSpec(title="n", family="normal", points=_AWKWARD_POINTS,
+              fitted_line=(-1.0 / 7.0, -2.5), prob_ticks=(0.001, 0.3, 0.999)),
+     "2c23105a413b02167fd5c059f61d6fb695e2818cf9022219818de35483c3eee5"),
+    # no probability ticks, and every span zero, so both pads fall back to 1
+    (PlotSpec(title="t", family="normal", points=((0.0, 1.0), (0.0, 1.0)),
+              fitted_line=(1.0, 0.0), prob_ticks=()),
+     "b978b62d995d24e537440e00b94b80e1c791ae1ae1de74ecf0c7d1adb49fb297"),
+])
+def test_awkward_chart_bytes_are_pinned(spec, digest):
+    svg = emit_probability_paper(spec)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest
+    assert svg.count('class="marker"') == len(spec.points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PlotSpec(title="t", family="normal", points=((0.0, 1.0), (1.0, bad)))
+    with pytest.raises(ValueError, match="finite"):
+        PlotSpec(title="t", family="normal", points=((bad, 1.0), (1.0, 2.0)))
+
+
+@pytest.mark.parametrize("line", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0),
+                                  (0.0, -math.inf)])
+def test_non_finite_fitted_line_rejected(line):
+    with pytest.raises(ValueError, match="finite"):
+        PlotSpec(title="t", family="normal", points=((0.0, 1.0), (1.0, 2.0)),
+                 fitted_line=line)
+
+
+def test_range_too_wide_to_draw_rejected():
+    # finite values whose span overflows would reach the tick layout as inf
+    spec = PlotSpec(title="t", family="normal", points=((0.0, -1e308), (1.0, 1e308)))
+    with pytest.raises(ValueError, match="too wide"):
+        emit_probability_paper(spec)

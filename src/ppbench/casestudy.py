@@ -20,7 +20,7 @@ import numpy as np
 from . import bradyseism_data
 from .distributions import LOGNORMAL3, NORMAL, reduced_quantile
 from .estimation import GLS, OLS, FitResult, exceedance_probability, fit_gls, fit_ols
-from .gof import MadResult, mad_case3, mad_known_params
+from .gof import MadResult, _mean_sd, mad_case3, mad_known_params
 from .order_stats import EXPANSION, build_moments
 from .positions import proposed_positions
 from .svgplot import PlotSpec
@@ -189,23 +189,24 @@ def run_case_study(
     history, is tested against its own estimates.
     """
     months = []
-    previous: list[np.ndarray] = []
-    for rec in load_dataset():
+    records = load_dataset()
+    # every month's log values in month order; each pool is a prefix of it
+    pooled = np.empty(sum(len(rec.magnitudes) for rec in records))
+    filled = 0
+    for rec in records:
         kept = tuple(v for v in rec.magnitudes if v > c)
         analysis = analyze_month(
             MagnitudeRecord(rec.month_label, kept), c=c, k=k, method=method, level=level
         )
-        if previous:
-            pool = np.concatenate(previous)
-            cumulative = mad_known_params(
-                analysis.log_values, float(pool.mean()), float(pool.std(ddof=1))
-            )
+        if months:
+            cumulative = mad_known_params(analysis.log_values, *_mean_sd(pooled[:filled]))
         else:
             cumulative = analysis.mad_self
         months.append(
             MonthReport(analysis=analysis, n_total=len(rec.magnitudes), mad_cumulative=cumulative)
         )
-        previous.append(analysis.log_values)
+        pooled[filled : filled + analysis.n] = analysis.log_values
+        filled += analysis.n
     return CaseStudyReport(method=method, c=c, k=k, level=level, months=tuple(months))
 
 

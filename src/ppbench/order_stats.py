@@ -14,12 +14,14 @@ t = z2 - z1 > 0, mapped by the double-exponential t = exp(s - exp(-s))
 as t -> 0, so 108 s nodes reach t ~ 1e-16 and that end needs no truncation.
 Only the exponents of the pair density's factors F1, F2 - F1 and S2 depend
 on the pair, so one contraction of their power tables per block of z1 rows
-(factors in linear space, F2 - F1 as S1 - S2 where F1 >= 1/2) gives the
-joint moments E[Z_i Z_j] of every pair, cached as one symmetric N x N table
-whose diagonal holds E[Z_i^2]. Each error is estimated from the same nodes
-at twice the step and must stay below EXACT_MEAN_TOL (means) or
-EXACT_COV_TOL (second and joint moments). exact_cov broadcasts over rank
-arrays like expansion_cov, reading those two cached tables.
+(factors in linear space, F2 - F1 as S1 - S2 where F1 >= 1/2), read only at
+each pair's exponents, gives the joint moments E[Z_i Z_j] of every pair,
+cached as one symmetric N x N table whose diagonal holds E[Z_i^2]. Their z1
+step is twice that of the means: the s step sets their error. Each error is
+estimated from the same nodes at twice the step and must stay below
+EXACT_MEAN_TOL (means) or EXACT_COV_TOL (second and joint moments).
+exact_cov broadcasts over rank arrays like expansion_cov, reading those two
+cached tables.
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def expansion_cov(family: str, i, j, n: int):
 _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
 _COV_S_RANGE = (-3.5, 4.0)
 _COV_STEP_Z = 0.05
+_COV_STEP_Z1 = 0.1  # z1 step of the joint moments, whose error the s step sets
 _COV_STEP_S = 0.07
 _COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
 
@@ -250,7 +253,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     integrated once and fills both triangles.
 
     One trapezoid rule on fixed nodes serves every pair: z1 on a uniform grid
-    of step _COV_STEP_Z, and the gap t = z2 - z1 = exp(s - exp(-s)) with s on
+    of step _COV_STEP_Z1, and the gap t = z2 - z1 = exp(s - exp(-s)) with s on
     a uniform grid of step _COV_STEP_S over _COV_S_RANGE (Jacobian
     t (1 + exp(-s))). The pair density is bounded as t -> 0, so there the
     integrand in s falls like the Jacobian, double-exponentially, and the
@@ -258,7 +261,10 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     t ~ exp(s), and the density's own decay ends the grid. The integrand is
     analytic in both variables, so the rule converges exponentially in
     1/step; it is negligible at the grid's edges, so their half weights are
-    dropped.
+    dropped. The s step binds: through N = 30 the error estimate is that of
+    the s step alone, and halving the z1 step moves no pair by more than a
+    few rounding units. The means (_exact_moments) keep the finer step
+    _COV_STEP_Z, since their own check needs it from N = 30.
 
     The pair density is c_ij f1 f2 F1^(i-1) (F2 - F1)^(j-i-1) S2^(N-j); only
     its exponents depend on the pair, so no step runs once per pair. Each
@@ -267,20 +273,27 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     (F2 - F1)^b and S2^g, b, g = 0..N-2, by repeated multiplication and
     contracts them over t with the Jacobian J,
     K[z1, b, g] = sum_t z2 J f2 (F2 - F1)^b S2^g; a pair's integral is
-    c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j].
+    c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j]. Only these N(N-1)/2
+    entries are gathered from each block and summed into per-pair vectors,
+    so no (N-1)^3 array outlives a block. The constants c_ij are taken in
+    log form (gammaln), so they stay finite beyond N = 170.
 
     The error estimate per pair is |I_h - I_2h|, where I_2h sums the even
     nodes of the same grid in both variables; QuadratureError is raised if
     it exceeds EXACT_COV_TOL.
     """
     lo, hi = _COV_Z1_RANGE[family]
-    z = _nodes(lo, hi, _COV_STEP_Z)
+    z = _nodes(lo, hi, _COV_STEP_Z1)
     s = _nodes(*_COV_S_RANGE, _COV_STEP_S)
     e = np.exp(-s)
     t = np.exp(s - e)
     jac = t * (1.0 + e)
     m = n - 1  # powers 0..N-2 of F1, F2 - F1 and S2
-    fine, coarse = np.zeros((2, m, m, m))  # [i-1, j-i-1, N-j], summed over z1, t
+    ii, jj = np.triu_indices(n, 1)
+    a, b, g = ii, jj - ii - 1, n - 1 - jj  # the exponents i-1, j-i-1 and N-j
+    logc = special.gammaln(n + 1) - special.gammaln(np.stack([a, b, g]) + 1).sum(axis=0)
+    scale = np.exp(logc) * (_COV_STEP_Z1 * _COV_STEP_S)
+    fine, coarse = np.zeros((2, ii.size))  # per pair, summed over z1 and t
     for start in range(0, z.size, _COV_BLOCK):
         z1 = z[start : start + _COV_BLOCK, None]
         z2 = z1 + t
@@ -292,14 +305,10 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
             np.multiply(Q[p - 1], S2, out=Q[p])
         A, Q = A.transpose(1, 0, 2), Q.transpose(1, 2, 0)
         R = z1 * f1 * F1 ** np.arange(m)
-        fine += np.tensordot(R, np.matmul(A, Q), (0, 0))
-        coarse += np.tensordot(R[::2], np.matmul(A[::2, :, ::2], Q[::2, ::2]), (0, 0))
-    ii, jj = np.triu_indices(n, 1)
-    pair = (ii, jj - ii - 1, n - 1 - jj)  # the exponents i-1, j-i-1 and N-j
-    fact = np.array([math.factorial(r) for r in range(n + 1)], dtype=float)
-    scale = fact[n] / fact[np.stack(pair)].prod(axis=0) * (_COV_STEP_Z * _COV_STEP_S)
-    values = scale * fine[pair]
-    _check_trapezoid(values, 4.0 * scale * coarse[pair], EXACT_COV_TOL, "joint-moment")
+        fine += (R[:, a] * np.matmul(A, Q)[:, b, g]).sum(axis=0)
+        coarse += (R[::2, a] * np.matmul(A[::2, :, ::2], Q[::2, ::2])[:, b, g]).sum(axis=0)
+    values = scale * fine
+    _check_trapezoid(values, 4.0 * scale * coarse, EXACT_COV_TOL, "joint-moment")
     table = np.diag(_exact_moments(family, n)[1])
     table[ii, jj] = table[jj, ii] = values
     table.flags.writeable = False  # shared by every caller through the cache

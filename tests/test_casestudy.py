@@ -136,6 +136,35 @@ def test_gls_case_study_calls_through_traced_bindings(monkeypatch):
     assert all(calls.values()), calls
 
 
+def _concatenated_pools(rep):
+    """Mean and sd of months 1..m-1 for each month m >= 2, by concatenation."""
+    logs = [m.analysis.log_values for m in rep.months]
+    pools = [np.concatenate(logs[:m]) for m in range(1, len(logs))]
+    return [(float(pool.mean()), float(pool.std(ddof=1))) for pool in pools]
+
+
+@pytest.mark.parametrize("method", ["ols", "gls"])
+def test_pooled_history_is_bitwise_the_concatenated_one(method, monkeypatch):
+    seen = []
+    mad_known_params = casestudy.mad_known_params
+
+    def recording(x, mean, sd):
+        seen.append((mean, sd))
+        return mad_known_params(x, mean, sd)
+
+    monkeypatch.setattr(casestudy, "mad_known_params", recording)
+    rep = run_case_study(method)
+    pools = _concatenated_pools(rep)
+    assert seen == pools
+    # the whole report, rebuilt with the concatenated pools
+    months = [rep.months[0]] + [
+        casestudy.MonthReport(m.analysis, m.n_total, mad_known_params(m.analysis.log_values, *p))
+        for m, p in zip(rep.months[1:], pools)
+    ]
+    want = CaseStudyReport(method, rep.c, rep.k, rep.level, tuple(months))
+    assert rep.to_payload() == want.to_payload()
+
+
 def test_case_study_threshold_sensitivity():
     rep = run_case_study(c=1.2)
     assert [m.analysis.n for m in rep.months] != USED_SIZES

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -275,7 +276,7 @@ def _per_pair_joint_moments(family, n):
     power-table contraction is checked against.
     """
     lo, hi = order_stats._COV_Z1_RANGE[family]
-    z1 = order_stats._nodes(lo, hi, order_stats._COV_STEP_Z)[:, None]
+    z1 = order_stats._nodes(lo, hi, order_stats._COV_STEP_Z1)[:, None]
     s = order_stats._nodes(*order_stats._COV_S_RANGE, order_stats._COV_STEP_S)
     t = np.exp(s - np.exp(-s))
     z2 = z1 + t
@@ -286,7 +287,7 @@ def _per_pair_joint_moments(family, n):
     with np.errstate(divide="ignore"):
         ldF = np.log(dF)
     jac = t * (1.0 + np.exp(-s))
-    moment = z1 * z2 * jac * (order_stats._COV_STEP_Z * order_stats._COV_STEP_S)
+    moment = z1 * z2 * jac * (order_stats._COV_STEP_Z1 * order_stats._COV_STEP_S)
     table = np.zeros((n, n))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
@@ -348,6 +349,47 @@ def test_joint_moments_at_n30_fail_their_error_check(family, cold_exact_cov):
     # N = 30: the estimates are 4.6e-7 (Gumbel) and 4.8e-6 (normal)
     with pytest.raises(QuadratureError):
         order_stats._exact_joint_moments(family, 30)
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_z1_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
+    # the s step sets the joint moments' error: halving the z1 step moves no
+    # pair by more than a few rounding units (measured <= 3.6e-15)
+    table = order_stats._exact_joint_moments(family, n)
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
+    _clear_exact_caches()
+    finer = order_stats._exact_joint_moments(family, n)
+    np.testing.assert_allclose(table, finer, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_coarse_z1_grid_raises(family, monkeypatch, cold_exact_cov):
+    # the check still guards the z1 direction: at a z1 step of 0.4 the
+    # estimates are 1.5e-3 (Gumbel) and 3.5e-4 (normal)
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 0.4)
+    with pytest.raises(QuadratureError):
+        order_stats._exact_joint_moments(family, 4)
+
+
+def test_joint_moments_beyond_float_factorials_raise_quadrature_error(cold_exact_cov):
+    # 171! does not fit a float; the pair constants are taken in log form, so
+    # the kernel reaches its error check instead of overflowing
+    with pytest.raises(QuadratureError):
+        order_stats._exact_joint_moments("normal", 171)
+
+
+def test_joint_moments_memory_stays_per_pair(cold_exact_cov):
+    # per-pair accumulators instead of three (N-1)^3 arrays: one normal table
+    # at N = 100 peaks at about 11 MB, against 31 MB with those arrays
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureError):
+            order_stats._exact_joint_moments("normal", 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
 
 
 def test_trapezoid_check_rejects_nan():

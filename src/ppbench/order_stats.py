@@ -17,7 +17,12 @@ on the pair, so one contraction of their power tables per block of z1 rows
 (factors in linear space, F2 - F1 as S1 - S2 where F1 >= 1/2), read only at
 each pair's exponents, gives the joint moments E[Z_i Z_j] of every pair,
 cached as one symmetric N x N table whose diagonal holds E[Z_i^2]. Their z1
-step is twice that of the means: the s step sets their error. Each error is
+nodes are z1 = a sinh(v / a) on a uniform v grid (Stenger, 1993): the rule
+stays exponentially convergent in v, while the tails, above all the
+Gumbel's exp(-z) right tail, take a few widely spaced nodes instead of a
+long uniform run (160 Gumbel and 145 normal rows). The means keep a uniform
+z grid at half the joint moments' v step, since their own check needs it
+from N = 30 and their values feed DSE. Each error is
 estimated from the same nodes at twice the step and must stay below
 EXACT_MEAN_TOL (means) or EXACT_COV_TOL (second and joint moments).
 exact_cov broadcasts over rank arrays like expansion_cov, reading those two
@@ -147,15 +152,24 @@ def expansion_cov(family: str, i, j, n: int):
 
 # Fixed nodes of the exact quadratures: z1 in _exact_moments and
 # _exact_joint_moments, the gap s in the latter. Beyond the ends of the z1
-# range each parent's density is below about 1e-17. The inner gap
-# t = z2 - z1 = exp(s - exp(-s)) runs from about 1.3e-16 (s = -3.5) to about
-# 53; the strip of t below the first node holds about 1e-16 of a pair's
-# integral, under double rounding, and beyond the last the pair density is
-# negligible.
+# range each parent's density is below about 1e-17. The means take z1 on a
+# uniform grid of step _COV_STEP_Z. The joint moments take
+# z1 = a sinh(v / a), v on a uniform grid of step _COV_STEP_Z1 anchored at
+# v = 0 and extended to the first node at or beyond each end of the range
+# (see _joint_z1_nodes); a = _COV_Z1_SCALE keeps the map near uniform over
+# the body (slope 1 at z = 0) and spaces the nodes out, exponentially in v,
+# in the tails. The inner gap t = z2 - z1 = exp(s - exp(-s)) runs from about
+# 1.3e-16 (s = -3.5) to about 53; the strip of t below the first node holds
+# about 1e-16 of a pair's integral, under double rounding, and beyond the
+# last the pair density is negligible.
 _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
+# The Gumbel's right tail decays only like exp(-z), so the map has most to
+# gain there; the normal tail is already Gaussian, and a smaller scale than 6
+# would space its nodes too widely through the body (measured at N = 100).
+_COV_Z1_SCALE = {NORMAL: 6.0, GUMBEL: 4.0}
 _COV_S_RANGE = (-3.5, 4.0)
 _COV_STEP_Z = 0.05
-_COV_STEP_Z1 = 0.1  # z1 step of the joint moments, whose error the s step sets
+_COV_STEP_Z1 = 0.1  # v step of the joint moments' z1 map; the s step sets their error
 _COV_STEP_S = 0.07
 _COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
 
@@ -164,6 +178,19 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
+
+
+def _joint_z1_nodes(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The joint moments' z1 = a sinh(v / a) and its Jacobian cosh(v / a).
+
+    v = k _COV_STEP_Z1 for every integer k from the first node at or beyond
+    the low end of _COV_Z1_RANGE to the first at or beyond the high end, so
+    z1 = 0 is a node and a symmetric range gives symmetric nodes.
+    """
+    a = _COV_Z1_SCALE[family]
+    lo, hi = a * np.arcsinh(np.array(_COV_Z1_RANGE[family]) / a) / _COV_STEP_Z1
+    v = np.arange(math.floor(lo), math.ceil(hi) + 1) * (_COV_STEP_Z1 / a)
+    return a * np.sinh(v), np.cosh(v)
 
 
 def _parent(family: str, z: np.ndarray, k=None):
@@ -209,9 +236,10 @@ def _trapezoid_z(g: np.ndarray, tol: float, what: str) -> np.ndarray:
 def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """E[Z_i] and E[Z_i^2] for every rank i = 1..N, as two length-N arrays.
 
-    One trapezoid rule on the z1 nodes of _exact_joint_moments serves every
-    rank: the order-statistic density is built in log form from log f,
-    log F and log S, evaluated once and shared by all ranks. The error
+    One trapezoid rule on a uniform z grid of step _COV_STEP_Z over
+    _COV_Z1_RANGE serves every rank: the order-statistic density is built in
+    log form from log f, log F and log S, evaluated once and shared by all
+    ranks. The error
     estimate per rank is |I_h - I_2h|, where I_2h sums the even nodes;
     QuadratureError is raised if it exceeds EXACT_MEAN_TOL for a mean or
     EXACT_COV_TOL for a second moment.
@@ -252,19 +280,24 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     The diagonal is E[Z_i^2] from _exact_moments; each pair i < j is
     integrated once and fills both triangles.
 
-    One trapezoid rule on fixed nodes serves every pair: z1 on a uniform grid
-    of step _COV_STEP_Z1, and the gap t = z2 - z1 = exp(s - exp(-s)) with s on
-    a uniform grid of step _COV_STEP_S over _COV_S_RANGE (Jacobian
-    t (1 + exp(-s))). The pair density is bounded as t -> 0, so there the
-    integrand in s falls like the Jacobian, double-exponentially, and the
-    first node, t ~ 1e-16, leaves nothing to truncate. For large s the map is
-    t ~ exp(s), and the density's own decay ends the grid. The integrand is
-    analytic in both variables, so the rule converges exponentially in
-    1/step; it is negligible at the grid's edges, so their half weights are
-    dropped. The s step binds: through N = 30 the error estimate is that of
-    the s step alone, and halving the z1 step moves no pair by more than a
-    few rounding units. The means (_exact_moments) keep the finer step
-    _COV_STEP_Z, since their own check needs it from N = 30.
+    One trapezoid rule on fixed nodes serves every pair: z1 = a sinh(v / a)
+    with v on a uniform grid of step _COV_STEP_Z1 anchored at 0 and a from
+    _COV_Z1_SCALE (Jacobian cosh(v / a), see _joint_z1_nodes), and the gap
+    t = z2 - z1 = exp(s - exp(-s)) with s on a uniform grid of step
+    _COV_STEP_S over _COV_S_RANGE (Jacobian t (1 + exp(-s))). The pair
+    density is bounded as t -> 0, so there the integrand in s falls like the
+    Jacobian, double-exponentially, and the first node, t ~ 1e-16, leaves
+    nothing to truncate. For large s the map is t ~ exp(s), and the
+    density's own decay ends the grid. The integrand is analytic in both
+    variables, so the rule converges exponentially in 1/step; it is
+    negligible at the grid's edges, so their half weights are dropped. The
+    sinh map turns the z1 tails' decay, exp(-z) for the Gumbel's right
+    tail, into a double-exponential one in v, so a uniform v grid needs few
+    tail nodes (see _COV_Z1_SCALE for each a). The s step binds: through
+    N = 30 the error estimate is that of the s step alone, and halving the
+    v step moves no pair by more than a few rounding units. The means (_exact_moments) keep the uniform z grid of step
+    _COV_STEP_Z, since their own check needs it from N = 30 and their
+    values feed DSE.
 
     The pair density is c_ij f1 f2 F1^(i-1) (F2 - F1)^(j-i-1) S2^(N-j); only
     its exponents depend on the pair, so no step runs once per pair. Each
@@ -273,17 +306,17 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     (F2 - F1)^b and S2^g, b, g = 0..N-2, by repeated multiplication and
     contracts them over t with the Jacobian J,
     K[z1, b, g] = sum_t z2 J f2 (F2 - F1)^b S2^g; a pair's integral is
-    c_ij sum_z1 z1 f1 F1^(i-1) K[z1, j-i-1, N-j]. Only these N(N-1)/2
-    entries are gathered from each block and summed into per-pair vectors,
-    so no (N-1)^3 array outlives a block. The constants c_ij are taken in
-    log form (gammaln), so they stay finite beyond N = 170.
+    c_ij sum_z1 z1 J1 f1 F1^(i-1) K[z1, j-i-1, N-j], with J1 the z1
+    Jacobian. Only these N(N-1)/2 entries are gathered from each block and
+    summed into per-pair vectors, so no (N-1)^3 array outlives a block. The
+    constants c_ij are taken in log form (gammaln), so they stay finite
+    beyond N = 170.
 
     The error estimate per pair is |I_h - I_2h|, where I_2h sums the even
     nodes of the same grid in both variables; QuadratureError is raised if
     it exceeds EXACT_COV_TOL.
     """
-    lo, hi = _COV_Z1_RANGE[family]
-    z = _nodes(lo, hi, _COV_STEP_Z1)
+    z, jz = _joint_z1_nodes(family)
     s = _nodes(*_COV_S_RANGE, _COV_STEP_S)
     e = np.exp(-s)
     t = np.exp(s - e)
@@ -295,7 +328,8 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     scale = np.exp(logc) * (_COV_STEP_Z1 * _COV_STEP_S)
     fine, coarse = np.zeros((2, ii.size))  # per pair, summed over z1 and t
     for start in range(0, z.size, _COV_BLOCK):
-        z1 = z[start : start + _COV_BLOCK, None]
+        rows = slice(start, start + _COV_BLOCK)
+        z1 = z[rows, None]
         z2 = z1 + t
         f1, F1, f2, S2, dF = _pair_factors(family, z1, z2)
         A, Q = np.empty((2, m) + z2.shape)  # (power, row, t); no power when N = 1
@@ -304,7 +338,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
             np.multiply(A[p - 1], dF, out=A[p])
             np.multiply(Q[p - 1], S2, out=Q[p])
         A, Q = A.transpose(1, 0, 2), Q.transpose(1, 2, 0)
-        R = z1 * f1 * F1 ** np.arange(m)
+        R = z1 * jz[rows, None] * f1 * F1 ** np.arange(m)
         fine += (R[:, a] * np.matmul(A, Q)[:, b, g]).sum(axis=0)
         coarse += (R[::2, a] * np.matmul(A[::2, :, ::2], Q[::2, ::2])[:, b, g]).sum(axis=0)
     values = scale * fine

@@ -233,6 +233,7 @@ def _dblquad_joint_moment(family, i, j, n):
 
 @pytest.mark.parametrize("family,i,j", [
     ("normal", 1, 2), ("normal", 2, 4), ("gumbel", 1, 5), ("gumbel", 3, 4),
+    ("gumbel", 4, 5),  # the lower rank sits in the mapped right tail of z1; 2.0e-14 off
 ])
 def test_exact_cov_matches_adaptive_double_quadrature(family, i, j):
     n = 5
@@ -268,15 +269,15 @@ def test_exact_mean_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
         exact_mean(family, 1, 30)
 
 
-def _per_pair_joint_moments(family, n):
+def _per_pair_joint_moments(family, n, z1, w1):
     """E[Z_i Z_j] for i < j, one log-form integrand per pair (upper triangle).
 
     A transcription of the earlier per-pair kernel of _exact_joint_moments,
-    on the same nodes and with the same Jacobian, kept as the reference its
-    power-table contraction is checked against.
+    kept as the reference its power-table contraction is checked against:
+    on the same nodes when z1 and its weights w1 (step times Jacobian) are
+    those of _exact_joint_moments, and as an independent-grid oracle on others.
     """
-    lo, hi = order_stats._COV_Z1_RANGE[family]
-    z1 = order_stats._nodes(lo, hi, order_stats._COV_STEP_Z1)[:, None]
+    z1, w1 = z1[:, None], w1[:, None]
     s = order_stats._nodes(*order_stats._COV_S_RANGE, order_stats._COV_STEP_S)
     t = np.exp(s - np.exp(-s))
     z2 = z1 + t
@@ -287,7 +288,7 @@ def _per_pair_joint_moments(family, n):
     with np.errstate(divide="ignore"):
         ldF = np.log(dF)
     jac = t * (1.0 + np.exp(-s))
-    moment = z1 * z2 * jac * (order_stats._COV_STEP_Z1 * order_stats._COV_STEP_S)
+    moment = z1 * z2 * w1 * jac * order_stats._COV_STEP_S
     table = np.zeros((n, n))
     for i in range(1, n):
         for j in range(i + 1, n + 1):
@@ -308,11 +309,37 @@ def _per_pair_joint_moments(family, n):
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_match_per_pair_log_form(family, n, cold_exact_cov):
     got = order_stats._exact_joint_moments(family, n)
+    z1, jz = order_stats._joint_z1_nodes(family)
+    want = _per_pair_joint_moments(family, n, z1, order_stats._COV_STEP_Z1 * jz)
     upper = np.triu_indices(n, 1)
-    np.testing.assert_allclose(
-        got[upper], _per_pair_joint_moments(family, n)[upper], rtol=0, atol=1e-14
-    )
+    np.testing.assert_allclose(got[upper], want[upper], rtol=0, atol=1e-14)
     assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_moments_match_uniform_z1_grid(family, n, cold_exact_cov):
+    # the per-pair rule on uniform z1 nodes at step 0.05 (Jacobian 1) shares
+    # no z1 node placement with the sinh map; measured <= 1.3e-15 apart
+    got = order_stats._exact_joint_moments(family, n)
+    z1 = order_stats._nodes(*order_stats._COV_Z1_RANGE[family], 0.05)
+    want = _per_pair_joint_moments(family, n, z1, np.full_like(z1, 0.05))
+    upper = np.triu_indices(n, 1)
+    np.testing.assert_allclose(got[upper], want[upper], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_joint_z1_nodes(family):
+    z, jz = order_stats._joint_z1_nodes(family)
+    # _pair_factors splits the rows at F1 < 1/2 on increasing nodes
+    assert np.all(np.diff(z) > 0)
+    assert 0.0 in z
+    lo, hi = order_stats._COV_Z1_RANGE[family]
+    assert z[0] <= lo < z[1] and z[-2] < hi <= z[-1]  # the first node at or beyond each end
+    a = order_stats._COV_Z1_SCALE[family]
+    np.testing.assert_allclose(jz, np.sqrt(1.0 + (z / a) ** 2), rtol=1e-15)
+    if family == "normal":
+        assert np.array_equal(z, -z[::-1]) and np.array_equal(jz, jz[::-1])
 
 
 @pytest.mark.parametrize("family,tails", [("gumbel", (-3.0, 20.0)), ("normal", (-8.0, 8.0))])
@@ -354,8 +381,8 @@ def test_joint_moments_at_n30_fail_their_error_check(family, cold_exact_cov):
 @pytest.mark.parametrize("n", [5, 10, 20])
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_z1_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
-    # the s step sets the joint moments' error: halving the z1 step moves no
-    # pair by more than a few rounding units (measured <= 3.6e-15)
+    # the s step sets the joint moments' error: halving the v step of the z1
+    # map moves no pair by more than a few rounding units (measured <= 2.7e-15)
     table = order_stats._exact_joint_moments(family, n)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
     _clear_exact_caches()
@@ -365,8 +392,8 @@ def test_joint_moments_z1_step_does_not_bind(family, n, monkeypatch, cold_exact_
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_coarse_z1_grid_raises(family, monkeypatch, cold_exact_cov):
-    # the check still guards the z1 direction: at a z1 step of 0.4 the
-    # estimates are 1.5e-3 (Gumbel) and 3.5e-4 (normal)
+    # the check still guards the z1 direction: at a v step of 0.4 the
+    # estimates are 2.9e-3 (Gumbel) and 4.3e-5 (normal)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 0.4)
     with pytest.raises(QuadratureError):
         order_stats._exact_joint_moments(family, 4)

@@ -70,7 +70,7 @@ DEFAULT_FORMULA_ORDER = (
 )
 
 _CHUNK = 1024
-_IFSE_BLOCK = 256
+_IFSE_BLOCK = 128
 
 
 def default_f_grid() -> np.ndarray:
@@ -254,11 +254,19 @@ def _ifse_values(
     a = params.a[params.kept]
     b = params.b[params.kept]
     vals = np.empty(a.size)
+    # every block runs in one buffer: the plain expression allocates a fresh
+    # block-sized temporary per step, and first touches of new pages cost
+    # more than the arithmetic done on them
+    buf = np.empty((min(_IFSE_BLOCK, a.size), zg.size))
     for lo in range(0, a.size, _IFSE_BLOCK):
         hi = min(lo + _IFSE_BLOCK, a.size)
-        Z = (zg[None, :] - a[lo:hi, None]) / b[lo:hi, None]
-        Fhat = reduced_cdf(family, Z)
-        vals[lo:hi] = ((Fhat - grid[None, :]) ** 2) @ w
+        F = buf[: hi - lo]
+        np.subtract(zg, a[lo:hi, None], out=F)
+        np.divide(F, b[lo:hi, None], out=F)
+        reduced_cdf(family, F, out=F)
+        np.subtract(F, grid, out=F)
+        np.square(F, out=F)
+        np.matmul(F, w, out=vals[lo:hi])
     return vals
 
 

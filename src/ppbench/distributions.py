@@ -119,13 +119,16 @@ def _ret(arr: np.ndarray, scalar: bool):
 # Reduced-variate CDF / quantile / density. All heavy lifting happens here on
 # the standard member; the public functions shift and scale around these.
 
-def _cdf_z(family: str, z: np.ndarray) -> np.ndarray:
+def _cdf_z(family: str, z: np.ndarray, out=None) -> np.ndarray:
     if family == GUMBEL:
         # the overflow of exp(-z) deep in the left tail saturates to the
         # correct limit exp(-inf) = 0, so the warning is suppressed
+        if out is None:
+            out = np.empty_like(z)
         with np.errstate(over="ignore"):
-            return np.exp(-np.exp(-z))
-    return special.ndtr(z)  # normal and the log family share the same paper
+            np.exp(np.negative(z, out=out), out=out)
+            return np.exp(np.negative(out, out=out), out=out)
+    return special.ndtr(z, out=out)  # normal and the log family share the same paper
 
 
 def _quantile_z(family: str, p: np.ndarray) -> np.ndarray:
@@ -141,11 +144,15 @@ def _pdf_z(family: str, z: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def reduced_cdf(family: str, z):
-    """CDF of the reduced variate; vectorized."""
+def reduced_cdf(family: str, z, out=None):
+    """CDF of the reduced variate; vectorized.
+
+    ``out``, when given, is a float array of z's shape that receives the
+    result; it may be z itself.
+    """
     family = paper_family(family)
     arr, scalar = _as_array(z)
-    return _ret(_cdf_z(family, arr), scalar)
+    return _ret(_cdf_z(family, arr, out), scalar)
 
 
 def reduced_quantile(family: str, p):

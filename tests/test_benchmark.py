@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,20 @@ from ppbench import (
     make_formula,
     positions_for,
     reduced,
+    reduced_cdf,
+    reduced_quantile,
     replicate_key,
     run_suite,
     sample,
 )
 from ppbench import benchmark
-from ppbench.benchmark import MLE_KEY, THREADS_ENV, _trapezoid_weights, _worker_count
+from ppbench.benchmark import (
+    MLE_KEY,
+    THREADS_ENV,
+    EstimatorParams,
+    _trapezoid_weights,
+    _worker_count,
+)
 
 FAST = dict(replicates=400, seed=DEFAULT_SEED)
 
@@ -193,6 +203,84 @@ def test_ifse_rows_independent_of_block_size(monkeypatch, block):
     ref = run_suite(_small_cfg(replicates=1000))
     monkeypatch.setattr(benchmark, "_IFSE_BLOCK", block)
     assert run_suite(_small_cfg(replicates=1000)).rows == ref.rows
+
+
+def _ifse_inputs(family):
+    grid = default_f_grid()
+    return grid, reduced_quantile(family, grid), _trapezoid_weights(grid)
+
+
+def _synthetic_params(kept_rows):
+    # fits spread like small-n OLS fits, a few steep ones whose reduced
+    # values reach z = -800 (the Gumbel cdf's overflow side), and every
+    # fifth row discarded
+    rng = np.random.default_rng(7)
+    discarded = kept_rows // 4
+    kept = np.ones(kept_rows + discarded, dtype=bool)
+    kept[4:5 * discarded:5] = False
+    a = rng.normal(0.0, 0.4, kept.size)
+    b = rng.uniform(0.6, 1.5, kept.size)
+    a[:6], b[:6] = 8.0, 0.01
+    return EstimatorParams(a=a, b=b, kept=kept)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_ifse_values_match_allocating_expression(family):
+    # the expression IFSE evaluated before it ran in one reused buffer
+    grid, zg, w = _ifse_inputs(family)
+    kept_rows = 2 * benchmark._IFSE_BLOCK + 37  # a partial last block
+    params = _synthetic_params(kept_rows)
+    assert params.kept.sum() == kept_rows and params.discarded > 0
+    a = params.a[params.kept][:, None]
+    b = params.b[params.kept][:, None]
+    want = ((reduced_cdf(family, (zg - a) / b) - grid) ** 2) @ w
+    got = benchmark._ifse_values(params, family, grid, zg, w)
+    assert np.array_equal(got, want)
+    none = EstimatorParams(a=params.a, b=params.b, kept=np.zeros_like(params.kept))
+    empty = benchmark._ifse_values(none, family, grid, zg, w)
+    assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_ifse_values_memory_stays_within_one_block_buffer(family):
+    # the allocating expression holds two or three block-sized temporaries
+    # at once (2.64 MB on 5,000 rows at 256-row blocks, 1.41 MB at 128, 0.80
+    # MB at 64); one buffer plus the kept rows' a, b and result vectors and
+    # numpy's iterator buffers (about 129 KB with numpy 2.4) stays below
+    # the bound at any block size
+    grid, zg, w = _ifse_inputs(family)
+    rows = 5000
+    params = _synthetic_params(rows)
+    tracemalloc.start()
+    try:
+        benchmark._ifse_values(params, family, grid, zg, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_buffer = min(benchmark._IFSE_BLOCK, rows) * zg.size * 8
+    assert peak < block_buffer + 3 * rows * 8 + (256 << 10)
+
+
+def test_ifse_evaluates_cdf_through_module_attribute_once_per_block(monkeypatch):
+    # tracing wraps benchmark.reduced_cdf, as it does benchmark.sample
+    cfg = _small_cfg(replicates=1000)
+    ref = run_suite(cfg)
+    block = benchmark._IFSE_BLOCK
+    kept = sorted({id(p): int(p.kept.sum())
+                   for p in benchmark._collect_params(cfg).values()}.values())
+    calls = []
+
+    def counting(family, z, out=None):
+        calls.append(len(z))
+        return reduced_cdf(family, z, out=out)
+
+    monkeypatch.setattr(benchmark, "reduced_cdf", counting)
+    wrapped = run_suite(cfg)
+    assert len(kept) == 3  # the MLE baseline, weibull and blom
+    assert len(calls) == sum(-(-k // block) for k in kept)
+    assert sorted(calls) == sorted(min(block, k - lo) for k in kept
+                                   for lo in range(0, k, block))
+    assert wrapped.rows == ref.rows
 
 
 class _SerialPool:

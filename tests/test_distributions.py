@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from ppbench import (
     DistributionSpec,
@@ -16,6 +18,7 @@ from ppbench import (
     quantile,
     quantile_derivative,
     reduced,
+    reduced_cdf,
     reduced_return_quantile,
     return_level,
     sample,
@@ -260,3 +263,33 @@ def test_reduced_return_quantile_vectorized_and_domain():
     for bad in (1.0, 0.5, -3.0, float("inf"), float("nan")):
         with pytest.raises(DomainError):
             reduced_return_quantile("normal", bad)
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_reduced_cdf_out_is_bitwise_the_plain_expression(family):
+    # the allocating and the out= call are both checked against the plain
+    # numpy/scipy expression written here; below z = -709.78 the Gumbel's exp(-z) overflows to inf; +-inf and NaN
+    # pass through; 2-D is the shape IFSE hands in
+    z = np.concatenate([[-np.inf, -1e308, -1e4, -800.0, -709.0],
+                        np.linspace(-40.0, 40.0, 161), [-0.0, np.inf, np.nan]])
+    z = np.stack([z, z[::-1]])
+    keep = z.copy()
+    if family == "gumbel":
+        with np.errstate(over="ignore"):
+            want = np.exp(-np.exp(-z))
+    else:
+        want = special.ndtr(z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert reduced_cdf(family, z).tobytes() == want.tobytes()
+        out = np.empty_like(z)
+        assert reduced_cdf(family, z, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        assert z.tobytes() == keep.tobytes()  # another out leaves z alone
+        assert reduced_cdf(family, z, out=z) is z
+        assert z.tobytes() == want.tobytes()
+        for x in (-800.0, 0.3, np.array(0.3)):
+            v = reduced_cdf(family, x)
+            assert type(v) is float
+            v_out = reduced_cdf(family, x, out=np.empty(()))
+            assert type(v_out) is float and v_out == v

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -62,6 +63,9 @@ def test_title_escaping():
     svg = emit_probability_paper(_spec(title="a < b & c"))
     assert "a &lt; b &amp; c" in svg
     assert "a < b & c" not in svg
+    # the module's own escape does what xml.sax.saxutils.escape does
+    title = "x > y & &lt; <"
+    assert ">%s</text>" % escape(title) in emit_probability_paper(_spec(title=title))
 
 
 def test_file_output_matches_string(tmp_path):

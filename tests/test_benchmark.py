@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,11 @@ def test_config_validation():
         ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.0, 0.5]))
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.5, 0.4]))
+    # a NaN node fails every comparison, so it must be caught as such; it
+    # would otherwise turn IQSE and IFSE into NaN without an error
+    for bad in ([0.1, np.nan, 0.9], [np.nan, 0.5], [0.5, np.nan], [0.1, np.inf]):
+        with pytest.raises(ValueError, match="strictly inside"):
+            ExperimentConfig(family="gumbel", n=5, f_grid=np.array(bad))
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, formulas=["nope"])
 
@@ -224,21 +230,56 @@ def _synthetic_params(kept_rows):
     return EstimatorParams(a=a, b=b, kept=kept)
 
 
+def _two_step_ifse(params, family, grid, zg, w):
+    # the expression IFSE evaluated before it ran in reused buffers
+    a = params.a[params.kept][:, None]
+    b = params.b[params.kept][:, None]
+    with np.errstate(over="ignore"):  # (zg - a) / b may pass the float range
+        return ((reduced_cdf(family, (zg - a) / b) - grid) ** 2) @ w
+
+
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_ifse_values_match_allocating_expression(family):
-    # the expression IFSE evaluated before it ran in one reused buffer
     grid, zg, w = _ifse_inputs(family)
     kept_rows = 2 * benchmark._IFSE_BLOCK + 37  # a partial last block
     params = _synthetic_params(kept_rows)
     assert params.kept.sum() == kept_rows and params.discarded > 0
-    a = params.a[params.kept][:, None]
-    b = params.b[params.kept][:, None]
-    want = ((reduced_cdf(family, (zg - a) / b) - grid) ** 2) @ w
     got = benchmark._ifse_values(params, family, grid, zg, w)
-    assert np.array_equal(got, want)
+    # the rank-2 product rounds Z once per node where the two steps round
+    # twice: each row moves by about one rounding (3.0e-14 at most on 5,000
+    # such rows)
+    want = _two_step_ifse(params, family, grid, zg, w)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    # and exactly the rank-2 form, [-a/b, 1/b] @ [1; zg], over all rows at once
+    a = params.a[params.kept]
+    b = params.b[params.kept]
+    Z = np.column_stack((-a / b, 1.0 / b)) @ np.stack((np.ones_like(zg), zg))
+    assert np.array_equal(got, ((reduced_cdf(family, Z) - grid) ** 2) @ w)
     none = EstimatorParams(a=params.a, b=params.b, kept=np.zeros_like(params.kept))
     empty = benchmark._ifse_values(none, family, grid, zg, w)
     assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_ifse_values_extreme_slopes_stay_finite_and_match(family):
+    # kept rows whose 1/b or a/b leave the float range: a subnormal 1/b
+    # would be inf, and inf * 0 at the normal grid's zero node a NaN
+    grid, zg, w = _ifse_inputs(family)
+    rng = np.random.default_rng(11)
+    a = rng.normal(0.0, 0.4, 11)
+    b = rng.uniform(0.6, 1.5, 11)
+    b[:3] = 1e-300
+    b[3:6] = 1e-310  # subnormal
+    a = np.append(a, [0.0, 0.0, 1e10, -1e10, 1e300, -1e300])  # the last four: |a|/b > 1e308
+    b = np.append(b, [1e-300, 1e-310, 1e-300, 1e-300, 1e-10, 1e-10])
+    assert 0.0 < b[3] < np.finfo(float).tiny
+    params = EstimatorParams(a=a, b=b, kept=np.ones(a.size, dtype=bool))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = benchmark._ifse_values(params, family, grid, zg, w)
+    assert np.all(np.isfinite(got))
+    want = _two_step_ifse(params, family, grid, zg, w)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])

@@ -20,11 +20,11 @@ cached as one symmetric N x N table whose diagonal holds E[Z_i^2]. Their z1
 nodes are z1 = a sinh(v / a) on a uniform v grid (Stenger, 1993): the rule
 stays exponentially convergent in v, while the tails, above all the
 Gumbel's exp(-z) right tail, take a few widely spaced nodes instead of a
-long uniform run (160 Gumbel and 145 normal rows). The means keep a uniform
-z grid at half the joint moments' v step, since their own check needs it
-from N = 30 and their values feed DSE. Each error is
-estimated from the same nodes at twice the step and must stay below
-EXACT_MEAN_TOL (means) or EXACT_COV_TOL (second and joint moments).
+long uniform run (160 Gumbel and 145 normal rows). The means and second
+moments take the same map at half the v step (319 and 289 rows), whose even
+nodes are the joint moments' nodes. Each error is estimated from the same
+nodes at twice the step and must stay below EXACT_MEAN_TOL (means) or
+EXACT_COV_TOL (second and joint moments).
 exact_cov broadcasts over rank arrays like expansion_cov, reading those two
 cached tables.
 """
@@ -82,7 +82,10 @@ def expansion_mean(family: str, i, n: int, k: int = 4):
     k = 0 keeps only the quantile at the mean uniform position (the
     distribution-free value); the first-order term vanishes identically, so
     k = 1 equals k = 0. Levels 2, 3, 4 add the second, third and fourth
-    quantile-derivative corrections.
+    quantile-derivative corrections. The third- and fourth-derivative terms
+    are both O(1/(N+2)^2): k = 3 adds the first without the second, so it is
+    less accurate than k = 2 (its worst error is 3 to 13 times that of k = 2
+    at N = 5..100, and from N = 30 on it is worse than k = 0).
 
     ``i`` is an int (giving a float) or an integer array of ranks.
     """
@@ -152,11 +155,11 @@ def expansion_cov(family: str, i, j, n: int):
 
 # Fixed nodes of the exact quadratures: z1 in _exact_moments and
 # _exact_joint_moments, the gap s in the latter. Beyond the ends of the z1
-# range each parent's density is below about 1e-17. The means take z1 on a
-# uniform grid of step _COV_STEP_Z. The joint moments take
-# z1 = a sinh(v / a), v on a uniform grid of step _COV_STEP_Z1 anchored at
-# v = 0 and extended to the first node at or beyond each end of the range
-# (see _joint_z1_nodes); a = _COV_Z1_SCALE keeps the map near uniform over
+# range each parent's density is below about 1e-17. Both take
+# z1 = a sinh(v / a), v on a uniform grid anchored at v = 0 and extended to
+# the first node at or beyond each end of the range (see _z1_nodes): of step
+# _COV_STEP_Z1 for the joint moments and half that for the means, whose even
+# nodes are the joint nodes. a = _COV_Z1_SCALE keeps the map near uniform over
 # the body (slope 1 at z = 0) and spaces the nodes out, exponentially in v,
 # in the tails. The inner gap t = z2 - z1 = exp(s - exp(-s)) runs from about
 # 1.3e-16 (s = -3.5) to about 53; the strip of t below the first node holds
@@ -168,7 +171,6 @@ _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
 # would space its nodes too widely through the body (measured at N = 100).
 _COV_Z1_SCALE = {NORMAL: 6.0, GUMBEL: 4.0}
 _COV_S_RANGE = (-3.5, 4.0)
-_COV_STEP_Z = 0.05
 _COV_STEP_Z1 = 0.1  # v step of the joint moments' z1 map; the s step sets their error
 _COV_STEP_S = 0.07
 _COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
@@ -180,16 +182,19 @@ def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
 
 
-def _joint_z1_nodes(family: str) -> tuple[np.ndarray, np.ndarray]:
-    """The joint moments' z1 = a sinh(v / a) and its Jacobian cosh(v / a).
+def _z1_nodes(family: str, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """z1 = a sinh(v / a) and its Jacobian cosh(v / a), on the v step h.
 
-    v = k _COV_STEP_Z1 for every integer k from the first node at or beyond
+    h is _COV_STEP_Z1, or half of it with ``half``. v = k h for every integer
+    k from the first joint node (v a multiple of _COV_STEP_Z1) at or beyond
     the low end of _COV_Z1_RANGE to the first at or beyond the high end, so
-    z1 = 0 is a node and a symmetric range gives symmetric nodes.
+    z1 = 0 is a node, a symmetric range gives symmetric nodes, and the even
+    nodes of the half step are bitwise those of the full step.
     """
     a = _COV_Z1_SCALE[family]
     lo, hi = a * np.arcsinh(np.array(_COV_Z1_RANGE[family]) / a) / _COV_STEP_Z1
-    v = np.arange(math.floor(lo), math.ceil(hi) + 1) * (_COV_STEP_Z1 / a)
+    m = 2 if half else 1
+    v = np.arange(m * math.floor(lo), m * math.ceil(hi) + 1) * (_COV_STEP_Z1 / m / a)
     return a * np.sinh(v), np.cosh(v)
 
 
@@ -224,10 +229,10 @@ def _check_trapezoid(fine, coarse, tol: float, what: str) -> None:
         raise QuadratureError("%s quadrature error %.3e exceeds %.1e" % (what, err, tol))
 
 
-def _trapezoid_z(g: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Trapezoid sums of the rows of g on the z1 nodes, checked against the even nodes."""
-    fine = _COV_STEP_Z * g.sum(axis=1)
-    _check_trapezoid(fine, 2.0 * _COV_STEP_Z * g[:, ::2].sum(axis=1), tol, what)
+def _trapezoid_z(g: np.ndarray, step: float, tol: float, what: str) -> np.ndarray:
+    """Trapezoid sums of the rows of g at v step ``step``, checked against the even nodes."""
+    fine = step * g.sum(axis=1)
+    _check_trapezoid(fine, 2.0 * step * g[:, ::2].sum(axis=1), tol, what)
     fine.flags.writeable = False  # shared by every caller through the cache
     return fine
 
@@ -236,25 +241,25 @@ def _trapezoid_z(g: np.ndarray, tol: float, what: str) -> np.ndarray:
 def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """E[Z_i] and E[Z_i^2] for every rank i = 1..N, as two length-N arrays.
 
-    One trapezoid rule on a uniform z grid of step _COV_STEP_Z over
-    _COV_Z1_RANGE serves every rank: the order-statistic density is built in
-    log form from log f, log F and log S, evaluated once and shared by all
-    ranks. The error
-    estimate per rank is |I_h - I_2h|, where I_2h sums the even nodes;
-    QuadratureError is raised if it exceeds EXACT_MEAN_TOL for a mean or
-    EXACT_COV_TOL for a second moment.
+    One trapezoid rule on z1 = a sinh(v / a), v at half the joint moments'
+    step (Jacobian cosh(v / a), see _z1_nodes), serves every rank: the
+    order-statistic density is built in log form from log f, log F and
+    log S, evaluated once and shared by all ranks. The error estimate per
+    rank is |I_h - I_2h|, where I_2h sums the even nodes, the joint moments'
+    own; QuadratureError is raised if it exceeds EXACT_MEAN_TOL for a mean
+    or EXACT_COV_TOL for a second moment.
     """
-    lo, hi = _COV_Z1_RANGE[family]
-    z = _nodes(lo, hi, _COV_STEP_Z)
+    z, jz = _z1_nodes(family, half=True)
     lf, lF, lS = _log_parent(family, z)
     a = np.arange(n)[:, None]  # exponent of F; n - 1 - a is that of S
     b = n - 1 - a
     logc = special.gammaln(n + 1) - special.gammaln(a + 1) - special.gammaln(b + 1)
     # zero exponents are skipped so that log(0) never multiplies 0
     logd = logc + lf + np.where(a > 0, a * lF, 0.0) + np.where(b > 0, b * lS, 0.0)
-    w = np.exp(logd)
-    mean = _trapezoid_z(z * w, EXACT_MEAN_TOL, "order-statistic mean")
-    second = _trapezoid_z(z * z * w, EXACT_COV_TOL, "second-moment")
+    w = np.exp(logd) * jz
+    step = _COV_STEP_Z1 / 2
+    mean = _trapezoid_z(z * w, step, EXACT_MEAN_TOL, "order-statistic mean")
+    second = _trapezoid_z(z * z * w, step, EXACT_COV_TOL, "second-moment")
     return mean, second
 
 
@@ -282,7 +287,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
 
     One trapezoid rule on fixed nodes serves every pair: z1 = a sinh(v / a)
     with v on a uniform grid of step _COV_STEP_Z1 anchored at 0 and a from
-    _COV_Z1_SCALE (Jacobian cosh(v / a), see _joint_z1_nodes), and the gap
+    _COV_Z1_SCALE (Jacobian cosh(v / a), see _z1_nodes), and the gap
     t = z2 - z1 = exp(s - exp(-s)) with s on a uniform grid of step
     _COV_STEP_S over _COV_S_RANGE (Jacobian t (1 + exp(-s))). The pair
     density is bounded as t -> 0, so there the integrand in s falls like the
@@ -295,9 +300,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     tail, into a double-exponential one in v, so a uniform v grid needs few
     tail nodes (see _COV_Z1_SCALE for each a). The s step binds: through
     N = 30 the error estimate is that of the s step alone, and halving the
-    v step moves no pair by more than a few rounding units. The means (_exact_moments) keep the uniform z grid of step
-    _COV_STEP_Z, since their own check needs it from N = 30 and their
-    values feed DSE.
+    v step moves no pair by more than a few rounding units.
 
     The pair density is c_ij f1 f2 F1^(i-1) (F2 - F1)^(j-i-1) S2^(N-j); only
     its exponents depend on the pair, so no step runs once per pair. Each
@@ -316,7 +319,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     nodes of the same grid in both variables; QuadratureError is raised if
     it exceeds EXACT_COV_TOL.
     """
-    z, jz = _joint_z1_nodes(family)
+    z, jz = _z1_nodes(family)
     s = _nodes(*_COV_S_RANGE, _COV_STEP_S)
     e = np.exp(-s)
     t = np.exp(s - e)
@@ -375,10 +378,14 @@ def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     The diagonal shift starts at RIDGE_UNIT * trace(V)/N and doubles until
     Cholesky succeeds; 0.0 means the matrix was already positive definite.
+    A NaN or infinite entry raises ValueError: LAPACK's Cholesky need not
+    reject one.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise ValueError("covariance must be a square matrix")
+    if not np.isfinite(V).all():
+        raise ValueError("covariance must be finite")
     try:
         return V, np.linalg.cholesky(V), 0.0
     except np.linalg.LinAlgError:

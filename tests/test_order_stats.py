@@ -264,9 +264,23 @@ def test_exact_cov_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_mean_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
-    monkeypatch.setattr(order_stats, "_COV_STEP_Z", 0.3)
-    with pytest.raises(QuadratureError):
+    # the means take half the joint step: v step 0.3
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 0.6)
+    with pytest.raises(QuadratureError, match="order-statistic mean"):
         exact_mean(family, 1, 30)
+
+
+@pytest.mark.parametrize("n", [5, 30, 100])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_moments_v_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
+    # halving the means' v step moves the means by <= 2.7e-15 and the second
+    # moments by <= 3.1e-15 relative (measured)
+    mean, second = order_stats._exact_moments(family, n)
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
+    _clear_exact_caches()
+    finer_mean, finer_second = order_stats._exact_moments(family, n)
+    np.testing.assert_allclose(mean, finer_mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(second, finer_second, rtol=1e-14, atol=0)
 
 
 def _per_pair_joint_moments(family, n, z1, w1):
@@ -309,7 +323,7 @@ def _per_pair_joint_moments(family, n, z1, w1):
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_match_per_pair_log_form(family, n, cold_exact_cov):
     got = order_stats._exact_joint_moments(family, n)
-    z1, jz = order_stats._joint_z1_nodes(family)
+    z1, jz = order_stats._z1_nodes(family)
     want = _per_pair_joint_moments(family, n, z1, order_stats._COV_STEP_Z1 * jz)
     upper = np.triu_indices(n, 1)
     np.testing.assert_allclose(got[upper], want[upper], rtol=0, atol=1e-14)
@@ -329,8 +343,8 @@ def test_joint_moments_match_uniform_z1_grid(family, n, cold_exact_cov):
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
-def test_joint_z1_nodes(family):
-    z, jz = order_stats._joint_z1_nodes(family)
+def test_z1_nodes(family):
+    z, jz = order_stats._z1_nodes(family)
     # _pair_factors splits the rows at F1 < 1/2 on increasing nodes
     assert np.all(np.diff(z) > 0)
     assert 0.0 in z
@@ -340,6 +354,10 @@ def test_joint_z1_nodes(family):
     np.testing.assert_allclose(jz, np.sqrt(1.0 + (z / a) ** 2), rtol=1e-15)
     if family == "normal":
         assert np.array_equal(z, -z[::-1]) and np.array_equal(jz, jz[::-1])
+    # the means' nodes at half the step nest the joint nodes
+    zh, jh = order_stats._z1_nodes(family, half=True)
+    assert zh.size == 2 * z.size - 1
+    assert np.array_equal(zh[::2], z) and np.array_equal(jh[::2], jz)
 
 
 @pytest.mark.parametrize("family,tails", [("gumbel", (-3.0, 20.0)), ("normal", (-8.0, 8.0))])
@@ -382,12 +400,17 @@ def test_joint_moments_at_n30_fail_their_error_check(family, cold_exact_cov):
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_z1_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
     # the s step sets the joint moments' error: halving the v step of the z1
-    # map moves no pair by more than a few rounding units (measured <= 2.7e-15)
+    # map (the means' step halves with it) moves no pair i < j by more than a
+    # few rounding units (measured <= 2.7e-15); the diagonal, the means'
+    # second moments, moved by 1.42e-14 absolute, about 1e-15 relative
+    # (Gumbel, N = 20)
     table = order_stats._exact_joint_moments(family, n)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
     _clear_exact_caches()
     finer = order_stats._exact_joint_moments(family, n)
-    np.testing.assert_allclose(table, finer, rtol=0, atol=1e-14)
+    upper = np.triu_indices(n, 1)
+    np.testing.assert_allclose(table[upper], finer[upper], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.diag(table), np.diag(finer), rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
@@ -395,7 +418,7 @@ def test_joint_moments_coarse_z1_grid_raises(family, monkeypatch, cold_exact_cov
     # the check still guards the z1 direction: at a v step of 0.4 the
     # estimates are 2.9e-3 (Gumbel) and 4.3e-5 (normal)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 0.4)
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError, match="joint-moment"):
         order_stats._exact_joint_moments(family, 4)
 
 
@@ -476,18 +499,52 @@ def test_expansion_mean_accuracy_small_sample():
                 assert diff <= mid_tol, (family, i, diff)
 
 
+def _expansion_errors(family, n, k):
+    r = np.arange(1, n + 1)
+    return np.abs(expansion_mean(family, r, n, k) - order_stats._exact_moments(family, n)[0])
+
+
 def test_expansion_mean_improves_with_order():
-    # truncation error shrinks as more correction terms enter
-    n = 10
+    # truncation error shrinks from k = 0 to 2 to 4. k = 3 is no step on that
+    # path: the third- and fourth-derivative terms are both O(1/(N+2)^2), and
+    # k = 3 adds the first without the second, so its worst error is 3.0 to
+    # 12.6 times that of k = 2 at N = 5..100 (measured), and from N = 30 on
+    # it is worse than k = 0 as well
     for family in ("normal", "gumbel"):
-        err = []
-        for k in (0, 2, 4):
-            e = max(
-                abs(expansion_mean(family, i, n, k=k) - exact_mean(family, i, n))
-                for i in range(1, n + 1)
-            )
-            err.append(e)
-        assert err[2] <= err[1] <= err[0], (family, err)
+        for n in (5, 10, 30, 100):
+            err = {k: _expansion_errors(family, n, k).max() for k in (0, 2, 3, 4)}
+            assert err[4] <= err[2] <= err[0], (family, n, err)
+            assert err[3] >= 2.5 * err[2], (family, n, err)
+            if n >= 30:
+                assert err[3] > err[0], (family, n, err)
+
+
+# k = 4 at N = 30, 42 and 100: the worst |eupp - exact| in z sits at rank 1
+# or N and does not fall with N. Measured edge errors 2.42e-3, 2.42e-3 and
+# 4.44e-3 (Gumbel), 3.04e-3, 3.27e-3 and 3.42e-3 (normal); interior errors at
+# most 1.03e-3 (Gumbel, N = 30) and 3.65e-4 (normal, N = 100).
+K4_EDGE_BOUNDS = {"gumbel": (2.4e-3, 4.5e-3), "normal": (3.0e-3, 3.5e-3)}
+K4_INTERIOR_BOUND = {"gumbel": 1.1e-3, "normal": 4.0e-4}
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_expansion_mean_k4_edge_ranks_do_not_converge(family):
+    lo, hi = K4_EDGE_BOUNDS[family]
+    edge = {}
+    for n in (30, 42, 100):
+        err = _expansion_errors(family, n, 4)
+        assert int(np.argmax(err)) in (0, n - 1), (family, n)
+        edge[n] = max(err[0], err[-1])
+        assert lo <= edge[n] <= hi, (family, n, edge[n])
+        assert err[1:-1].max() <= K4_INTERIOR_BOUND[family], (family, n)
+    assert edge[100] >= edge[30], (family, edge)
+
+
+def test_expansion_mean_k4_worst_rank_is_interior_at_normal_n10():
+    # the one measured case where the worst rank is not 1 or N: interior
+    # 7.9e-4 (rank 2), edge 5.4e-4
+    err = _expansion_errors("normal", 10, 4)
+    assert max(err[0], err[-1]) < err[1:-1].max()
 
 
 def test_expansion_cov_tracks_exact_values():
@@ -680,6 +737,17 @@ def test_ensure_spd_repairs_indefinite_matrix():
     assert delta0 == 0.0
     assert np.array_equal(same, ok)
     assert np.array_equal(L0, ok)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(1, 0), (0, 1), (0, 0), (1, 1)])
+def test_ensure_spd_rejects_non_finite(bad, where):
+    # without the check, Cholesky returned L = [[nan, 0], [nan, nan]] with
+    # ridge 0.0 for a NaN at (0, 0)
+    V = np.eye(2)
+    V[where] = bad
+    with pytest.raises(ValueError, match="covariance must be finite"):
+        ensure_spd(V)
 
 
 def test_import_does_not_load_scipy_integrate():

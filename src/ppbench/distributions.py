@@ -40,6 +40,7 @@ _ALIASES = {
 }
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class DomainError(ValueError):
@@ -88,8 +89,8 @@ class DistributionSpec:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
-        if not math.isfinite(self.a) or not math.isfinite(self.b):
-            raise ValueError("location and scale must be finite")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
+            raise ValueError("location, scale and threshold must be finite")
         if self.b <= 0.0:
             raise ValueError("scale must be positive, got %g" % self.b)
 
@@ -116,8 +117,8 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
-# Reduced-variate CDF / quantile / density. All heavy lifting happens here on
-# the standard member; the public functions shift and scale around these.
+# The reduced parents' f, F, S and quantile, here and nowhere else in the
+# package; the public functions shift and scale around these.
 
 def _cdf_z(family: str, z: np.ndarray, out=None) -> np.ndarray:
     if family == GUMBEL:
@@ -137,11 +138,22 @@ def _quantile_z(family: str, p: np.ndarray) -> np.ndarray:
     return special.ndtri(p)
 
 
-def _pdf_z(family: str, z: np.ndarray) -> np.ndarray:
+def _parent(family: str, z: np.ndarray, k=None):
+    """f, F on the first k rows of z (all by default) and S = 1 - F, in linear space."""
     if family == GUMBEL:
+        # exp(-z) overflows deep in the left tail, where f, F -> 0 and S -> 1
         with np.errstate(over="ignore"):
-            return np.exp(-z - np.exp(-z))
-    return np.exp(-0.5 * z * z) / _SQRT_2PI
+            e = np.exp(-z)
+            return np.exp(-z - e), np.exp(-e[:k]), -np.expm1(-e)
+    return np.exp(-0.5 * z * z) / _SQRT_2PI, special.ndtr(z[:k]), special.ndtr(-z)
+
+
+def _log_parent(family: str, z: np.ndarray):
+    """log f, log F and log S = log(1 - F) of the reduced parent at z."""
+    if family == GUMBEL:
+        e = np.exp(-z)
+        return -z - e, -e, np.log(-np.expm1(-e))
+    return -0.5 * z * z - _LOG_SQRT_2PI, special.log_ndtr(z), special.log_ndtr(-z)
 
 
 def reduced_cdf(family: str, z, out=None):
@@ -194,8 +206,7 @@ def cdf(d: DistributionSpec, x):
     if d.family == LOGNORMAL3:
         out = np.zeros_like(arr)
         above = arr > d.c
-        z = (np.log(arr[above] - d.c) - d.a) / d.b
-        out[above] = special.ndtr(z)
+        out[above] = _cdf_z(NORMAL, (np.log(arr[above] - d.c) - d.a) / d.b)
         return _ret(out, scalar)
     z = (arr - d.a) / d.b
     return _ret(_cdf_z(d.family, z), scalar)
@@ -207,11 +218,10 @@ def pdf(d: DistributionSpec, x):
         out = np.zeros_like(arr)
         above = arr > d.c
         t = arr[above] - d.c
-        z = (np.log(t) - d.a) / d.b
-        out[above] = np.exp(-0.5 * z * z) / (_SQRT_2PI * d.b * t)
+        out[above] = _parent(NORMAL, (np.log(t) - d.a) / d.b, 0)[0] / (d.b * t)
         return _ret(out, scalar)
-    z = (arr - d.a) / d.b
-    return _ret(_pdf_z(d.family, z) / d.b, scalar)
+    f = _parent(d.family, np.ravel((arr - d.a) / d.b), 0)[0]  # _parent slices rows; k = 0: no F
+    return _ret(f.reshape(arr.shape) / d.b, scalar)
 
 
 def quantile(d: DistributionSpec, p):
@@ -220,25 +230,37 @@ def quantile(d: DistributionSpec, p):
     return _ret(_from_reduced(d, _quantile_z(d.family, arr)), scalar)
 
 
+def _derivative_polys(first, step) -> list[np.ndarray]:
+    polys = [np.array(first)]
+    for r in range(1, 4):
+        polys.append(step(polys[-1], r))
+    return polys
+
+
+# Quantile derivatives of orders 1 to 4 by recurrence, as np.polyval
+# coefficients (highest power first). Normal: Q^(r) = P_r(z) g^r with
+# z = ndtri(p) and g = 1/f(z), since dz/dp = g and dg/dp = z g^2, so P_1 = 1
+# and P_(r+1) = P_r' + r z P_r. Gumbel: Q^(r) = R_r(y) / p^r with
+# y = -1/log p, since dy/dp = y^2 / p, so R_1 = y and R_(r+1) = y^2 R_r' - r R_r.
+_QD_POLYS = {
+    NORMAL: _derivative_polys(
+        [1.0], lambda P, r: np.polyadd(np.polyder(P), r * np.polymul([1.0, 0.0], P))
+    ),
+    GUMBEL: _derivative_polys(
+        [1.0, 0.0], lambda R, r: np.polysub(np.polymul([1.0, 0.0, 0.0], np.polyder(R)), r * R)
+    ),
+}
+
+
 def quantile_derivative(family: str, p, order: int):
     """Derivative of the reduced-variate quantile function, orders 1 to 4.
 
     The log family's quantile derivatives are the normal ones (see
-    paper_family).
-
-    Closed forms, with ``L = log p`` and ``u = p L`` for the Gumbel family
-    and ``g = sqrt(2 pi) exp(z^2 / 2)`` (the reciprocal normal density at
-    ``z = ndtri(p)``) for the normal family:
-
-    ======  ==========================  =========================
-    order   Gumbel                      Normal
-    ======  ==========================  =========================
-    1       -1 / u                      g
-    2       (1 + L) / u^2               z g^2
-    3       (L - 2 (1+L)^2) / u^3       (1 + 2 z^2) g^3
-    4       (6 (1+L)^3 - 7 L^2 - 6 L)   z (7 + 6 z^2) g^4
-            / u^4
-    ======  ==========================  =========================
+    paper_family). Normal: P_r(z) g^r, with z = ndtri(p) and
+    g = sqrt(2 pi) exp(z^2 / 2); P_1 = 1, P_2 = z, P_3 = 2 z^2 + 1 and
+    P_4 = 6 z^3 + 7 z. Gumbel: R_r(y) / p^r, with y = -1/log p; R_1 = y,
+    R_2 = y^2 - y, R_3 = 2 y^3 - 3 y^2 + 2 y and
+    R_4 = 6 y^4 - 12 y^3 + 11 y^2 - 6 y. The recurrences of _QD_POLYS give them.
     """
     family = paper_family(family)
     if not isinstance(order, int) or isinstance(order, bool):
@@ -246,30 +268,12 @@ def quantile_derivative(family: str, p, order: int):
     if order < 1 or order > 4:
         raise ValueError("unsupported derivative order %d, expected 1..4" % order)
     arr, scalar = _as_probabilities(p)
-
+    poly = _QD_POLYS[family][order - 1]
     if family == GUMBEL:
-        L = np.log(arr)
-        u = arr * L  # negative on (0, 1)
-        if order == 1:
-            out = -1.0 / u
-        elif order == 2:
-            out = (1.0 + L) / u**2
-        elif order == 3:
-            out = (L - 2.0 * (1.0 + L) ** 2) / u**3
-        else:
-            out = (6.0 * (1.0 + L) ** 3 - 7.0 * L**2 - 6.0 * L) / u**4
-        return _ret(out, scalar)
-
-    z = special.ndtri(arr)
-    g = _SQRT_2PI * np.exp(0.5 * z * z)
-    if order == 1:
-        out = g
-    elif order == 2:
-        out = z * g**2
-    elif order == 3:
-        out = (1.0 + 2.0 * z * z) * g**3
+        out = np.polyval(poly, -1.0 / np.log(arr)) / arr**order
     else:
-        out = z * (7.0 + 6.0 * z * z) * g**4
+        z = special.ndtri(arr)
+        out = np.polyval(poly, z) * (_SQRT_2PI * np.exp(0.5 * z * z)) ** order
     return _ret(out, scalar)
 
 

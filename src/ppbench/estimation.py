@@ -17,6 +17,7 @@ one row, so the library and the benchmark share the same fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -222,8 +223,11 @@ def exceedance_probability(
     ``family`` overrides the family recorded on the fit; that is how a fit
     performed on log(x - c) with normal machinery is read back as a
     three-parameter log model (pass family="lognormal3" and the threshold
-    shift c).
+    shift c). A NaN threshold raises ValueError; +-inf give 0 and 1.
     """
+    threshold = float(threshold)
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     fam = canonical_family(family) if family is not None else fit.family
     d = DistributionSpec(fam, a=fit.a_hat, b=fit.b_hat, c=c)
-    return 1.0 - float(cdf(d, float(threshold)))
+    return 1.0 - float(cdf(d, threshold))

@@ -13,9 +13,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .distributions import DegenerateSampleError
+from .distributions import NORMAL, DegenerateSampleError, reduced_cdf
 
 PASS_5PCT = "pass_5pct"
 PASS_2_5PCT = "pass_2_5pct"
@@ -112,7 +111,7 @@ def mad_case3(x) -> MadResult:
     mean, sd = _mean_sd(xs)
     if sd == 0.0:
         raise DegenerateSampleError("sample standard deviation is zero")
-    u = special.ndtr((xs - mean) / sd)
+    u = reduced_cdf(NORMAL, (xs - mean) / sd)
     return _result(_a2_statistic(u), xs.size)
 
 
@@ -122,8 +121,9 @@ def mad_known_params(x, mean: float, sd: float) -> MadResult:
     The small-sample factor is still applied so values stay comparable with
     the estimated-parameter variant.
     """
-    if not sd > 0.0:
-        raise ValueError("sd must be positive")
+    mean, sd = float(mean), float(sd)
+    if not (math.isfinite(mean) and 0.0 < sd < math.inf):
+        raise ValueError("mean must be finite, and sd finite and positive")
     xs = _check_sample(x)
-    u = special.ndtr((xs - float(mean)) / float(sd))
+    u = reduced_cdf(NORMAL, (xs - mean) / sd)
     return _result(_a2_statistic(u), xs.size)

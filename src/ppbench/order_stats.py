@@ -41,6 +41,8 @@ from scipy import special
 from .distributions import (
     GUMBEL,
     NORMAL,
+    _log_parent,
+    _parent,
     paper_family,
     quantile_derivative,
     reduced_quantile,
@@ -173,9 +175,11 @@ _COV_Z1_SCALE = {NORMAL: 6.0, GUMBEL: 4.0}
 _COV_S_RANGE = (-3.5, 4.0)
 _COV_STEP_Z1 = 0.1  # v step of the joint moments' z1 map; the s step sets their error
 _COV_STEP_S = 0.07
-_COV_BLOCK = 32  # z1 rows per block; even, so block parity follows the grid's
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# z1 rows per block; even, so block parity follows the grid's. Not larger:
+# one block for all rows at N = 5 took a cold table from 6-17 to 206-457
+# minor page faults and did not run faster in fresh processes, which is how
+# every command and bench pass starts; it saves Python overhead only warm.
+_COV_BLOCK = 32
 
 
 def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
@@ -198,29 +202,12 @@ def _z1_nodes(family: str, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
     return a * np.sinh(v), np.cosh(v)
 
 
-def _parent(family: str, z: np.ndarray, k=None):
-    """f, F on the first k rows of z (all by default) and S = 1 - F, in linear space."""
-    if family == GUMBEL:
-        e = np.exp(-z)
-        F = np.exp(-e)
-        return e * F, F[:k], -np.expm1(-e)
-    return np.exp(-0.5 * z * z - _LOG_SQRT_2PI), special.ndtr(z[:k]), special.ndtr(-z)
-
-
 def _pair_factors(family: str, z1: np.ndarray, z2: np.ndarray):
     """f1, F1, f2, S2 and F2 - F1, as S1 - S2 where F1 >= 1/2 to stay accurate."""
     f1, F1, S1 = _parent(family, z1)
     k = int(np.count_nonzero(F1 < 0.5))  # z1 is a column of increasing nodes
     f2, F2, S2 = _parent(family, z2, k)
     return f1, F1, f2, S2, np.concatenate([F2 - F1[:k], S1[k:] - S2[k:]])
-
-
-def _log_parent(family: str, z: np.ndarray):
-    """log f, log F and log S = log(1 - F) of the reduced parent at z."""
-    if family == GUMBEL:
-        e = np.exp(-z)
-        return -z - e, -e, np.log(-np.expm1(-e))
-    return -0.5 * z * z - _LOG_SQRT_2PI, special.log_ndtr(z), special.log_ndtr(-z)
 
 
 def _check_trapezoid(fine, coarse, tol: float, what: str) -> None:

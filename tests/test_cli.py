@@ -250,6 +250,23 @@ def test_gof_fixed_params_and_log_threshold(tmp_path, capsys):
     assert main(["gof", "--input", str(path), "--params", "fixed:bad"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gof", "--params", "fixed:nan,1"],
+    ["gof", "--params", "fixed:1,inf"],
+    ["quantile", "--family", "lognormal3", "--a", "0", "--b", "1", "--c", "nan",
+     "--f-level", "0.5"],
+    ["bradyseism", "--level", "nan"],
+])
+def test_non_finite_parameters_exit_2(argv, values_csv, capsys):
+    # each once reached the report as NaN (not valid JSON) or as a wrong value
+    if argv[0] == "gof":
+        argv = argv + ["--input", values_csv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_bradyseism_json_and_plots(tmp_path, capsys):
     plots = tmp_path / "charts"
     assert main(["bradyseism", "--plots", str(plots)]) == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from ppbench import distributions
 from ppbench import (
     DistributionSpec,
     DomainError,
@@ -19,6 +20,7 @@ from ppbench import (
     quantile_derivative,
     reduced,
     reduced_cdf,
+    reduced_quantile,
     reduced_return_quantile,
     return_level,
     sample,
@@ -51,6 +53,9 @@ def test_spec_validation():
         DistributionSpec("gumbel", b=-1.0)
     with pytest.raises(ValueError):
         DistributionSpec("gumbel", a=float("nan"))
+    for c in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            DistributionSpec("lognormal3", c=c)
     d = DistributionSpec("Normal", a=1, b=2)
     assert d.family == "normal" and d.b == 2.0
 
@@ -149,6 +154,134 @@ def test_quantile_derivative_against_high_precision_differences(family, order):
         with mp.workdps(40):
             ref = float(mp.diff(Q, mp.mpf(float(p)), order))
         assert ours == pytest.approx(ref, rel=1e-5), (family, order, p)
+
+
+def _closed_form_derivative(family, p, order):
+    """The eight closed forms the recurrence replaced, kept as its reference."""
+    if family == "gumbel":
+        L = np.log(p)
+        u = p * L
+        if order == 1:
+            return -1.0 / u
+        if order == 2:
+            return (1.0 + L) / u**2
+        if order == 3:
+            return (L - 2.0 * (1.0 + L) ** 2) / u**3
+        return (6.0 * (1.0 + L) ** 3 - 7.0 * L**2 - 6.0 * L) / u**4
+    z = special.ndtri(p)
+    g = math.sqrt(2.0 * math.pi) * np.exp(0.5 * z * z)
+    if order == 1:
+        return g
+    if order == 2:
+        return z * g**2
+    if order == 3:
+        return (1.0 + 2.0 * z * z) * g**3
+    return z * (7.0 + 6.0 * z * z) * g**4
+
+
+# 500 points across the body and every i/(N+1) of the expansion route, N = 2..201
+RECURRENCE_P = np.concatenate(
+    [np.linspace(0.003, 0.997, 500)] + [np.arange(1, n + 1) / (n + 1.0) for n in range(2, 202)]
+)
+
+
+def _derivative_scale(family, p, order, q_r):
+    # |Q^(r)| + |Q^(r-1)| / p: Q'' crosses zero at p = 1/e for the Gumbel,
+    # where a relative error means nothing
+    prev = reduced_quantile(family, p) if order == 1 else quantile_derivative(family, p, order - 1)
+    return np.abs(q_r) + np.abs(prev) / p
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_quantile_derivative_normal_recurrence_is_bitwise_the_closed_forms(order):
+    got = quantile_derivative("normal", RECURRENCE_P, order)
+    assert got.tobytes() == _closed_form_derivative("normal", RECURRENCE_P, order).tobytes()
+
+
+# Gumbel recurrence against the closed forms, scaled as in _derivative_scale.
+# Measured 2.3e-16, 4.9e-16, 7.5e-16 and 2.8e-15 at orders 1 to 4; unscaled,
+# order 2 differs by 4.6e-12 relative next to p = 1/e.
+GUMBEL_RECURRENCE_GAP = {1: 4e-16, 2: 8e-16, 3: 1.2e-15, 4: 4e-15}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_quantile_derivative_gumbel_recurrence_matches_the_closed_forms(order):
+    got = quantile_derivative("gumbel", RECURRENCE_P, order)
+    gap = np.abs(got - _closed_form_derivative("gumbel", RECURRENCE_P, order))
+    scaled = gap / _derivative_scale("gumbel", RECURRENCE_P, order, got)
+    assert scaled.max() <= GUMBEL_RECURRENCE_GAP[order]
+
+
+def _near_inverse_e(n_max):
+    near = {i / (n + 1.0) for n in range(1, n_max + 1) for i in range(1, n + 1)
+            if abs(i / (n + 1.0) - math.exp(-1)) <= 0.02}
+    return np.array(sorted(near | {0.01, 0.1, 0.5, 0.9, 0.99}))
+
+
+def _mp_normal_quantile(p):
+    # Newton from the double ndtri: mp.diffs raises the working precision to
+    # about 940 bits at order 4, which five steps reach; erfinv costs twice as much
+    z = mp.mpf(float(special.ndtri(float(p))))
+    for _ in range(5):
+        z -= (mp.ncdf(z) - p) / mp.npdf(z)
+    return z
+
+
+# Against mp.diffs at 40 digits (mp.diff's rule, every order from one set
+# of evaluations), scaled as in _derivative_scale; measured worst
+# cases (recurrence, closed forms): Gumbel 9.6e-16 and 9.3e-16, normal 3.7e-15
+# and 3.7e-15 (order 4 in each). The points are every i/(N+1) within 0.02 of
+# 1/e, where the Gumbel's Q'' changes sign, for N <= 201 (Gumbel, 505 points)
+# or N <= 40 (normal, 26 points: its reference costs about 10 ms a point, and
+# its recurrence is bitwise the closed forms at every N <= 201), and
+# p = 0.01, 0.1, 0.5, 0.9, 0.99.
+@pytest.mark.parametrize("family,n_max,bound", [("gumbel", 201, 1.5e-15), ("normal", 40, 5e-15)])
+def test_quantile_derivative_matches_mpmath_tightly(family, n_max, bound):
+    p = _near_inverse_e(n_max)
+    Q = _mp_quantile(family) if family == "gumbel" else _mp_normal_quantile
+    with mp.workdps(40):
+        ref = np.array([[float(d) for d in mp.diffs(Q, mp.mpf(v), 4)] for v in p])
+    for order in (1, 2, 3, 4):
+        scale = np.abs(ref[:, order]) + np.abs(ref[:, order - 1]) / p
+        for got in (quantile_derivative(family, p, order),
+                    _closed_form_derivative(family, p, order)):
+            assert (np.abs(got - ref[:, order]) / scale).max() <= bound, (family, order)
+
+
+def _mp_parent(family, z):
+    if family == "gumbel":
+        e = mp.exp(-z)
+        return mp.exp(-z - e), mp.exp(-e), -mp.expm1(-e)
+    return mp.npdf(z), mp.ncdf(z), mp.ncdf(-z)
+
+
+# _parent and _log_parent against mpmath at 30 digits, at z step 0.05 over the
+# ranges the quadratures reach. Bounds are (f, F, S) for the linear forms,
+# relative; and for the log forms, relative where |log| >= 1 and absolute
+# below. Measured: Gumbel f 1.1e-14, F 6.5e-15, S 2.2e-16; normal f 5.6e-14,
+# F and S 2.0e-13 (scipy's ndtr near z = -+37.3). Those grow with |z| as the
+# functions' conditioning does (a relative error eps in z moves the normal f by
+# about z^2 eps), so the worst sit near the range ends. Log forms: Gumbel
+# 2.2e-16, normal 4.4e-16; absolute 1.1e-16 in both.
+PARENT_ORACLE = {
+    "gumbel": (np.linspace(-4.5, 40.0, 891), (2e-14, 1e-14, 4e-16), 4e-16),
+    "normal": (np.linspace(-37.5, 37.5, 1501), (1e-13, 3e-13, 3e-13), 7e-16),
+}
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_parent_kernels_match_mpmath(family):
+    z, linear_bounds, log_bound = PARENT_ORACLE[family]
+    with mp.workdps(30):
+        ref = [_mp_parent(family, mp.mpf(float(v))) for v in z]
+        want = np.array([[float(x) for x in r] for r in ref]).T
+        want_log = np.array([[float(mp.log(x)) for x in r] for r in ref]).T
+    for got, w, bound in zip(distributions._parent(family, z), want, linear_bounds):
+        assert (np.abs(got - w) / w).max() <= bound
+    for got, w in zip(distributions._log_parent(family, z), want_log):
+        big = np.abs(w) >= 1.0
+        assert (np.abs(got - w)[big] / np.abs(w[big])).max() <= log_bound
+        assert np.abs(got - w)[~big].max(initial=0.0) <= 2.5e-16
 
 
 def test_quantile_derivative_lognormal_delegates_to_normal():

@@ -230,6 +230,17 @@ def test_exceedance_probability_shifted_log_family():
     assert exceedance_probability(fit, 0.5, family="lognormal3", c=1.0) == 1.0
 
 
+@pytest.mark.parametrize("family,c", [("gumbel", 0.0), ("normal", 0.0), ("lognormal3", 1.0)])
+def test_exceedance_probability_non_finite_threshold(family, c):
+    # a NaN threshold read as an exceedance of 1.0; the infinities have exact answers
+    y = _design("normal", 20)
+    fit = fit_ols(np.sort(0.5 + 0.25 * y), y)
+    assert exceedance_probability(fit, np.inf, family=family, c=c) == 0.0
+    assert exceedance_probability(fit, -np.inf, family=family, c=c) == 1.0
+    with pytest.raises(ValueError, match="NaN"):
+        exceedance_probability(fit, np.nan, family=family, c=c)
+
+
 def test_design_parameter_freeness_of_fitted_indices():
     # the sampling law of (a_hat - a)/b and b_hat/b does not depend on (a, b);
     # with common random numbers the realized values match exactly

@@ -104,6 +104,16 @@ def test_known_params_variant():
         mad_known_params(x, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("mean,sd", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                     (1.0, np.nan), (1.0, np.inf)])
+def test_known_params_rejects_non_finite(mean, sd):
+    # a NaN mean made the statistic NaN, and an infinite sd a finite,
+    # meaningless value
+    x = np.random.default_rng(7).normal(1.0, 2.0, 50)
+    with pytest.raises(ValueError, match="finite"):
+        mad_known_params(x, mean, sd)
+
+
 def test_saturated_transform_warns_and_still_returns():
     x = np.array([0.0, 1.0, 2.0, 3.0, 1e9])
     with pytest.warns(RuntimeWarning):

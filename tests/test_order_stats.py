@@ -21,6 +21,7 @@ from ppbench import (
     expansion_cov,
     expansion_mean,
     quantile_derivative,
+    reduced_cdf,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -504,6 +505,27 @@ def _expansion_errors(family, n, k):
     return np.abs(expansion_mean(family, r, n, k) - order_stats._exact_moments(family, n)[0])
 
 
+# The accuracy map in p: the worst |F(eupp) - F(exact mean)| at ranks 1 and N
+# (edge) and at the other ranks (interior), as measured, for k = 0, 2, 3, 4.
+# Each bound is 1.1 times the measured value.
+P_GAP = {
+    "gumbel": {
+        5: ((6.04e-2, 4.32e-2), (1.42e-2, 9.62e-3), (4.89e-2, 1.68e-2), (2.40e-3, 1.81e-3)),
+        10: ((3.63e-2, 3.31e-2), (6.40e-3, 5.05e-3), (3.65e-2, 1.57e-2), (5.45e-4, 5.67e-4)),
+        30: ((1.37e-2, 1.41e-2), (1.77e-3, 1.37e-3), (1.70e-2, 8.20e-3), (2.04e-4, 5.08e-5)),
+        42: ((9.98e-3, 1.04e-2), (1.22e-3, 9.24e-4), (1.28e-2, 6.27e-3), (1.57e-4, 3.65e-5)),
+        100: ((4.30e-3, 4.60e-3), (4.77e-4, 3.48e-4), (5.83e-3, 2.91e-3), (7.28e-5, 1.96e-5)),
+    },
+    "normal": {
+        5: ((4.42e-2, 2.30e-2), (8.69e-3, 4.45e-3), (3.50e-2, 9.57e-3), (7.45e-4, 6.22e-4)),
+        10: ((2.90e-2, 2.35e-2), (3.98e-3, 2.95e-3), (2.76e-2, 1.08e-2), (6.54e-5, 1.91e-4)),
+        30: ((1.17e-2, 1.14e-2), (1.09e-3, 8.26e-4), (1.35e-2, 6.28e-3), (1.50e-4, 1.75e-5)),
+        42: ((8.64e-3, 8.62e-3), (7.46e-4, 5.56e-4), (1.04e-2, 4.91e-3), (1.21e-4, 2.17e-5)),
+        100: ((3.82e-3, 3.95e-3), (3.01e-4, 2.14e-4), (4.86e-3, 2.38e-3), (5.85e-5, 1.45e-5)),
+    },
+}
+
+
 def test_expansion_mean_improves_with_order():
     # truncation error shrinks from k = 0 to 2 to 4. k = 3 is no step on that
     # path: the third- and fourth-derivative terms are both O(1/(N+2)^2), and
@@ -511,12 +533,18 @@ def test_expansion_mean_improves_with_order():
     # 12.6 times that of k = 2 at N = 5..100 (measured), and from N = 30 on
     # it is worse than k = 0 as well
     for family in ("normal", "gumbel"):
-        for n in (5, 10, 30, 100):
+        for n in (5, 10, 30, 42, 100):
             err = {k: _expansion_errors(family, n, k).max() for k in (0, 2, 3, 4)}
             assert err[4] <= err[2] <= err[0], (family, n, err)
             assert err[3] >= 2.5 * err[2], (family, n, err)
             if n >= 30:
                 assert err[3] > err[0], (family, n, err)
+            r = np.arange(1, n + 1)
+            exact = reduced_cdf(family, order_stats._exact_moments(family, n)[0])
+            for k, (edge, interior) in zip((0, 2, 3, 4), P_GAP[family][n]):
+                gap = np.abs(reduced_cdf(family, expansion_mean(family, r, n, k)) - exact)
+                assert max(gap[0], gap[-1]) <= 1.1 * edge, (family, n, k)
+                assert gap[1:-1].max() <= 1.1 * interior, (family, n, k)
 
 
 # k = 4 at N = 30, 42 and 100: the worst |eupp - exact| in z sits at rank 1

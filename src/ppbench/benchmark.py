@@ -385,6 +385,9 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
         z = reduced_quantile(family, positions_for(f, n, family=family).p)
         key_of[f.label] = z.tobytes()
         design[z.tobytes()] = z
+    # DSE needs no sample, and a cell whose exact means fail fails before any draw
+    by_label = {f.label: f for f in cfg.formulas}
+    dse_of = {label: dse(family, n, f) for label, f in by_label.items()}
 
     def score(params: EstimatorParams):
         return (_moments(_iqse_values(params, zg, w)),
@@ -412,7 +415,6 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
             totals[key] = tuple(map(_merge, totals[key], scores))
 
     rows = []
-    by_label = {f.label: f for f in cfg.formulas}
     for label, key in key_of.items():
         iq_moments, if_moments = totals[key]
         iq, iq_se = _mean_se(iq_moments)
@@ -420,7 +422,7 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
         if label == MLE_KEY:
             d = combined = None
         else:
-            d = dse(family, n, by_label[label])
+            d = dse_of[label]
             combined = None
             if iq is not None and if_ is not None:
                 combined = (iq + if_ + d) / 3.0

@@ -40,7 +40,6 @@ _ALIASES = {
 }
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class DomainError(ValueError):
@@ -146,14 +145,6 @@ def _parent(family: str, z: np.ndarray, k=None):
             e = np.exp(-z)
             return np.exp(-z - e), np.exp(-e[:k]), -np.expm1(-e)
     return np.exp(-0.5 * z * z) / _SQRT_2PI, special.ndtr(z[:k]), special.ndtr(-z)
-
-
-def _log_parent(family: str, z: np.ndarray):
-    """log f, log F and log S = log(1 - F) of the reduced parent at z."""
-    if family == GUMBEL:
-        e = np.exp(-z)
-        return -z - e, -e, np.log(-np.expm1(-e))
-    return -0.5 * z * z - _LOG_SQRT_2PI, special.log_ndtr(z), special.log_ndtr(-z)
 
 
 def reduced_cdf(family: str, z, out=None):

@@ -8,10 +8,12 @@ arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
 Python calls. The exact route is the reference the expansion is judged
 against and is cost-guarded to moderate N. It is trapezoid quadrature on
 fixed nodes: one array evaluation per (family, N) gives the first two
-moments of every rank. The joint moments integrate over z1 and the gap
-t = z2 - z1 > 0, mapped by the double-exponential t = exp(s - exp(-s))
-(Takahasi & Mori, 1974): the integrand then decays double-exponentially in s
-as t -> 0, so 108 s nodes reach t ~ 1e-16 and that end needs no truncation.
+moments of every rank, from the density c f F^(i-1) S^(N-i) in linear
+space. Both tables read f, F and S from distributions._parent and nowhere
+else. The joint moments integrate over z1 and the gap t = z2 - z1 > 0,
+mapped by the double-exponential t = exp(s - exp(-s)) (Takahasi & Mori,
+1974): the integrand then decays double-exponentially in s as t -> 0, so
+108 s nodes reach t ~ 1e-16 and that end needs no truncation.
 Only the exponents of the pair density's factors F1, F2 - F1 and S2 depend
 on the pair, so one contraction of their power tables per block of z1 rows
 (factors in linear space, F2 - F1 as S1 - S2 where F1 >= 1/2), read only at
@@ -41,7 +43,6 @@ from scipy import special
 from .distributions import (
     GUMBEL,
     NORMAL,
-    _log_parent,
     _parent,
     paper_family,
     quantile_derivative,
@@ -230,20 +231,19 @@ def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     One trapezoid rule on z1 = a sinh(v / a), v at half the joint moments'
     step (Jacobian cosh(v / a), see _z1_nodes), serves every rank: the
-    order-statistic density is built in log form from log f, log F and
-    log S, evaluated once and shared by all ranks. The error estimate per
-    rank is |I_h - I_2h|, where I_2h sums the even nodes, the joint moments'
-    own; QuadratureError is raised if it exceeds EXACT_MEAN_TOL for a mean
-    or EXACT_COV_TOL for a second moment.
+    order-statistic density c f F^(i-1) S^(N-i) is built in linear space
+    from one evaluation of f, F and S shared by all ranks, with c from
+    gammaln (numpy's 0**0 is 1, so a zero exponent needs no guard). The
+    error estimate per rank is |I_h - I_2h|, where I_2h sums the even nodes,
+    the joint moments' own; QuadratureError is raised if it exceeds
+    EXACT_MEAN_TOL for a mean or EXACT_COV_TOL for a second moment.
     """
     z, jz = _z1_nodes(family, half=True)
-    lf, lF, lS = _log_parent(family, z)
+    f, F, S = _parent(family, z)
     a = np.arange(n)[:, None]  # exponent of F; n - 1 - a is that of S
     b = n - 1 - a
-    logc = special.gammaln(n + 1) - special.gammaln(a + 1) - special.gammaln(b + 1)
-    # zero exponents are skipped so that log(0) never multiplies 0
-    logd = logc + lf + np.where(a > 0, a * lF, 0.0) + np.where(b > 0, b * lS, 0.0)
-    w = np.exp(logd) * jz
+    c = np.exp(special.gammaln(n + 1) - special.gammaln(a + 1) - special.gammaln(b + 1))
+    w = c * f * F**a * S**b * jz
     step = _COV_STEP_Z1 / 2
     mean = _trapezoid_z(z * w, step, EXACT_MEAN_TOL, "order-statistic mean")
     second = _trapezoid_z(z * z * w, step, EXACT_COV_TOL, "second-moment")

@@ -217,6 +217,26 @@ def test_benchmark_seed_out_of_range_exits_2(capsys, seed):
     assert "seed must be an int in [0, 2**64)" in captured.err
 
 
+def test_benchmark_beyond_exact_means_exits_2_before_sampling(capsys, monkeypatch):
+    # DSE reads the exact means, guarded to N <= 100; the cell fails before
+    # the Monte Carlo draws its first chunk
+    from ppbench import benchmark
+
+    calls = []
+
+    def counting(d, n, keys):
+        calls.append(len(keys))
+        return sample(d, n, keys)
+
+    monkeypatch.setattr(benchmark, "sample", counting)
+    assert main(["benchmark", "--family", "normal", "--n", "101",
+                 "--replicates", "100"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact mean is limited to N <= 100" in captured.err
+
+
 def test_benchmark_deterministic(capsys):
     argv = ["benchmark", "--family", "normal", "--n", "5",
             "--replicates", "200", "--formulas", "hazen"]

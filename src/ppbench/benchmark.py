@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -84,7 +84,10 @@ _IFSE_BLOCK = 128
 
 
 def default_f_grid() -> np.ndarray:
-    """399 equispaced probability nodes from 0.0025 to 0.9975."""
+    """399 equispaced probability nodes from 0.0025 to 0.9975.
+
+    Every IQSE and IFSE integrates over this one grid; it is part of the index.
+    """
     return np.linspace(0.0025, 0.9975, 399)
 
 
@@ -145,7 +148,6 @@ class ExperimentConfig:
     replicates: int = DEFAULT_REPLICATES
     seed: int = DEFAULT_SEED
     formulas: Optional[Sequence[FormulaLike]] = None
-    f_grid: Optional[np.ndarray] = None
     include_mle: bool = True
 
     def __post_init__(self) -> None:
@@ -169,29 +171,12 @@ class ExperimentConfig:
                 f = make_formula(f, family=family)
             _check_formula_family(f, family)
             resolved.append(f)
+        if not resolved and not self.include_mle:
+            raise ValueError("no estimator to benchmark: give a formula or keep the MLE baseline")
         object.__setattr__(self, "formulas", tuple(resolved))
-
-        grid = self.f_grid if self.f_grid is not None else default_f_grid()
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("the probability grid must be a vector of >= 2 nodes")
-        # stated as what must hold, so that a NaN node, which fails every
-        # comparison, is rejected
-        if not (grid[0] > 0.0 and grid[-1] < 1.0 and np.all(np.diff(grid) > 0.0)):
-            raise ValueError("grid nodes must increase strictly inside (0, 1)")
-        object.__setattr__(self, "f_grid", grid)
 
     def formula_keys(self) -> tuple[str, ...]:
         return tuple(f.label for f in self.formulas)
-
-
-@dataclass(frozen=True)
-class EstimatorParams:
-    """Fitted (intercept, slope) pairs across replicates, plus the kept mask."""
-
-    a: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    kept: np.ndarray = field(repr=False)
 
 
 def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> np.ndarray:
@@ -201,25 +186,25 @@ def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> n
     return out
 
 
-def _fitted(a: np.ndarray, b: np.ndarray, converged=True) -> EstimatorParams:
+def _kept(a: np.ndarray, b: np.ndarray, converged=True) -> tuple[np.ndarray, np.ndarray]:
     # a replicate is kept when its fit is finite with a positive slope (and,
     # for an iterative fit, converged)
-    return EstimatorParams(a=a, b=b, kept=np.isfinite(a) & np.isfinite(b) & (b > 0.0) & converged)
+    kept = np.isfinite(a) & np.isfinite(b) & (b > 0.0) & converged
+    return a[kept], b[kept]
 
 
-def _iqse_values(params: EstimatorParams, zg: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _iqse_values(a: np.ndarray, b: np.ndarray, zg: np.ndarray, w: np.ndarray) -> np.ndarray:
     # integral of (a + (b-1) z)^2 dF expands into three fixed moments of the
     # grid, so each replicate costs O(1) once the W sums are precomputed
     W0 = float(w.sum())
     W1 = float(zg @ w)
     W2 = float((zg * zg) @ w)
-    a = params.a[params.kept]
-    e = params.b[params.kept] - 1.0
+    e = b - 1.0
     return a * a * W0 + 2.0 * a * e * W1 + e * e * W2
 
 
 def _ifse_values(
-    params: EstimatorParams, family: str, grid: np.ndarray, zg: np.ndarray, w: np.ndarray
+    a: np.ndarray, b: np.ndarray, family: str, grid: np.ndarray, zg: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
     # Z = (zg - a) / b is one rank-2 product per block, [-a/b, 1/b] @ [1; zg],
     # which BLAS forms in about a fifth of the time numpy takes to broadcast
@@ -229,14 +214,11 @@ def _ifse_values(
     # stays below a quarter of the float range (a subnormal b would make 1/b
     # infinite), and -a/b is clipped to half of it. A row that either bound
     # touches has |Z| far past where the cdf saturates, as (zg - a) / b has,
-    # unless a lies within about 1e-305 of a node. The two columns are made
-    # in place of the kept rows' copies of a and b.
+    # unless a lies within about 1e-305 of a node. a and b are left as given.
     huge = np.finfo(float).max
-    shift = params.a[params.kept]
-    slope = params.b[params.kept]
-    np.maximum(slope, 4.0 * np.abs(zg).max() / huge, out=slope)
+    slope = np.maximum(b, 4.0 * np.abs(zg).max() / huge)
     with np.errstate(over="ignore"):
-        np.divide(shift, slope, out=shift)
+        shift = np.divide(a, slope)
     np.clip(shift, -0.5 * huge, 0.5 * huge, out=shift)
     np.negative(shift, out=shift)
     np.divide(1.0, slope, out=slope)
@@ -306,27 +288,9 @@ class BenchmarkReport:
         raise KeyError(estimator)
 
     def to_payload(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "method": OLS,  # the Monte Carlo benchmark fits with OLS only
-            "grid_nodes": self.grid_nodes,
-            "rows": [
-                {
-                    "estimator": r.estimator,
-                    "iqse": r.iqse,
-                    "iqse_se": r.iqse_se,
-                    "ifse": r.ifse,
-                    "ifse_se": r.ifse_se,
-                    "dse": r.dse,
-                    "combined": r.combined,
-                    "discarded": r.discarded,
-                }
-                for r in self.rows
-            ],
-        }
+        # the Monte Carlo benchmark fits with OLS only; report-v1 wants rows
+        # as an array, which a tuple is not
+        return {**asdict(self), "method": OLS, "rows": [asdict(r) for r in self.rows]}
 
 
 _Moments = tuple[int, float, float]
@@ -374,7 +338,7 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
     average. Estimators whose replicates all failed are reported with null
     indices and a full discard count rather than aborting the suite.
     """
-    family, n, M, grid = cfg.family, cfg.n, cfg.replicates, cfg.f_grid
+    family, n, M, grid = cfg.family, cfg.n, cfg.replicates, default_f_grid()
     zg = reduced_quantile(family, grid)
     w = _trapezoid_weights(grid)
     # bitwise-equal designs (tukey and kerman) are fitted and scored once,
@@ -389,16 +353,16 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
     by_label = {f.label: f for f in cfg.formulas}
     dse_of = {label: dse(family, n, f) for label, f in by_label.items()}
 
-    def score(params: EstimatorParams):
-        return (_moments(_iqse_values(params, zg, w)),
-                _moments(_ifse_values(params, family, grid, zg, w)))
+    def score(a, b):
+        return (_moments(_iqse_values(a, b, zg, w)),
+                _moments(_ifse_values(a, b, family, grid, zg, w)))
 
     def work(start: int):
         X = _sorted_samples(family, cfg.seed, start, min(_CHUNK, M - start), n)
-        chunk = {key: score(_fitted(*ols_batch(X, z))) for key, z in design.items()}
+        chunk = {key: score(*_kept(*ols_batch(X, z))) for key, z in design.items()}
         if cfg.include_mle:
             a, b, converged, _ = mle_batch(X, family)
-            chunk[MLE_KEY] = score(_fitted(a, b, converged))
+            chunk[MLE_KEY] = score(*_kept(a, b, converged))
         return chunk
 
     starts = range(0, M, _CHUNK)

@@ -12,6 +12,7 @@ check).
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -138,6 +139,10 @@ def analyze_month(
     """
     if method not in (OLS, GLS):
         raise ValueError("month analysis fits with ols or gls")
+    # checked before the size: run_case_study filters with c, and a NaN or
+    # infinite c leaves every month empty
+    if not math.isfinite(c):
+        raise ValueError("the threshold c must be finite, got %r" % (c,))
     mags = np.asarray(record.magnitudes, dtype=float)
     if mags.size < 5:
         raise ValueError("need at least five magnitudes above the threshold")

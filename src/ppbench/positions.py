@@ -191,16 +191,13 @@ def positions_for(
 ) -> PositionSet:
     """Dispatch between the classical rule and the exact-unbiased rule.
 
-    For the exact-unbiased formula the family recorded on the formula wins;
-    ``family`` is only a fallback for formulas constructed without one.
+    ``family`` is read only to build a formula given by name; an
+    exact-unbiased formula always carries its own family.
     """
     if isinstance(f, str):
         f = make_formula(f, family=family)
     if f.id == EUPP_ID:
-        fam = f.family or family
-        if fam is None:
-            raise ValueError("the exact-unbiased formula needs a family")
-        return proposed_positions(fam, n, f.k)
+        return proposed_positions(f.family, n, f.k)
     return classical_positions(f, n)
 
 

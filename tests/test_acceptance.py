@@ -47,7 +47,7 @@ from ppbench import (
     sample,
     symmetry_check,
 )
-from ppbench.benchmark import _trapezoid_weights
+from ppbench.benchmark import _trapezoid_weights, default_f_grid
 from ppbench.estimation import ols_batch
 from ppbench.order_stats import _exact_joint_moments, _exact_moments
 
@@ -274,8 +274,9 @@ def test_iqse_matches_exact_value(suite_reports):
             cfg = ExperimentConfig(family=family, n=n)
             mu = _exact_moments(family, n)[0]
             S = _exact_joint_moments(family, n)
-            zg = reduced_quantile(family, cfg.f_grid)
-            w = _trapezoid_weights(cfg.f_grid)
+            grid = default_f_grid()
+            zg = reduced_quantile(family, grid)
+            w = _trapezoid_weights(grid)
             W0, W1, W2 = w.sum(), zg @ w, (zg * zg) @ w
             for f in cfg.formulas:
                 z = reduced_quantile(family, positions_for(f, n, family=family).p)

@@ -25,7 +25,6 @@ from ppbench import benchmark
 from ppbench.benchmark import (
     MLE_KEY,
     THREADS_ENV,
-    EstimatorParams,
     _trapezoid_weights,
     _worker_count,
 )
@@ -83,16 +82,16 @@ def test_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(family="gumbel", n=5, replicates=bad)
     with pytest.raises(ValueError):
-        ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.0, 0.5]))
-    with pytest.raises(ValueError):
-        ExperimentConfig(family="gumbel", n=5, f_grid=np.array([0.5, 0.4]))
-    # a NaN node fails every comparison, so it must be caught as such; it
-    # would otherwise turn IQSE and IFSE into NaN without an error
-    for bad in ([0.1, np.nan, 0.9], [np.nan, 0.5], [0.5, np.nan], [0.1, np.inf]):
-        with pytest.raises(ValueError, match="strictly inside"):
-            ExperimentConfig(family="gumbel", n=5, f_grid=np.array(bad))
-    with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, formulas=["nope"])
+
+
+def test_config_rejects_an_empty_estimator_set():
+    # the report would hold no row, which report-v1 rejects (rows has minItems 1)
+    with pytest.raises(ValueError, match="no estimator"):
+        ExperimentConfig(family="gumbel", n=5, formulas=[], include_mle=False)
+    assert ExperimentConfig(family="gumbel", n=5, formulas=[]).formula_keys() == ()
+    assert ExperimentConfig(family="gumbel", n=5, formulas=["weibull"],
+                            include_mle=False).formula_keys() == ("weibull",)
 
 
 def test_config_seed_names_its_stream():
@@ -188,9 +187,9 @@ def test_equal_designs_are_fitted_and_scored_once(monkeypatch):
         fits.append(len(X))
         return ols_batch(X, z)
 
-    def counting_ifse(params, *args):
-        scores.append(params.a.size)
-        return ifse_values(params, *args)
+    def counting_ifse(a, b, *args):
+        scores.append(a.size)
+        return ifse_values(a, b, *args)
 
     monkeypatch.setattr(benchmark, "ols_batch", counting_ols)
     monkeypatch.setattr(benchmark, "_ifse_values", counting_ifse)
@@ -222,9 +221,9 @@ def _ifse_inputs(family):
 
 
 def _synthetic_params(kept_rows):
-    # fits spread like small-n OLS fits, a few steep ones whose reduced
-    # values reach z = -800 (the Gumbel cdf's overflow side), and every
-    # fifth row discarded
+    # the kept rows of fits spread like small-n OLS fits, a few steep ones
+    # whose reduced values reach z = -800 (the Gumbel cdf's overflow side),
+    # where every fifth row was discarded
     rng = np.random.default_rng(7)
     discarded = kept_rows // 4
     kept = np.ones(kept_rows + discarded, dtype=bool)
@@ -232,37 +231,56 @@ def _synthetic_params(kept_rows):
     a = rng.normal(0.0, 0.4, kept.size)
     b = rng.uniform(0.6, 1.5, kept.size)
     a[:6], b[:6] = 8.0, 0.01
-    return EstimatorParams(a=a, b=b, kept=kept)
+    return a[kept], b[kept]
 
 
-def _two_step_ifse(params, family, grid, zg, w):
+def _two_step_ifse(a, b, family, grid, zg, w):
     # the expression IFSE evaluated before it ran in reused buffers
-    a = params.a[params.kept][:, None]
-    b = params.b[params.kept][:, None]
+    a, b = a[:, None], b[:, None]
     with np.errstate(over="ignore"):  # (zg - a) / b may pass the float range
         return ((reduced_cdf(family, (zg - a) / b) - grid) ** 2) @ w
+
+
+def test_kept_drops_failed_fits():
+    a = np.array([0.1, np.nan, 0.2, 0.3, np.inf, 0.4])
+    b = np.array([1.0, 1.0, -0.5, 0.0, 1.0, 2.0])
+    ka, kb = benchmark._kept(a, b)
+    assert np.array_equal(ka, [0.1, 0.4]) and np.array_equal(kb, [1.0, 2.0])
+    converged = np.array([True, True, True, True, True, False])
+    ka, kb = benchmark._kept(a, b, converged)
+    assert np.array_equal(ka, [0.1]) and np.array_equal(kb, [1.0])
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_ifse_values_match_allocating_expression(family):
     grid, zg, w = _ifse_inputs(family)
     kept_rows = 2 * benchmark._IFSE_BLOCK + 37  # a partial last block
-    params = _synthetic_params(kept_rows)
-    assert params.kept.sum() == kept_rows < params.kept.size
-    got = benchmark._ifse_values(params, family, grid, zg, w)
+    a, b = _synthetic_params(kept_rows)
+    assert a.size == b.size == kept_rows
+    got = benchmark._ifse_values(a, b, family, grid, zg, w)
     # the rank-2 product rounds Z once per node where the two steps round
     # twice: each row moves by about one rounding (3.0e-14 at most on 5,000
     # such rows)
-    want = _two_step_ifse(params, family, grid, zg, w)
+    want = _two_step_ifse(a, b, family, grid, zg, w)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     # and exactly the rank-2 form, [-a/b, 1/b] @ [1; zg], over all rows at once
-    a = params.a[params.kept]
-    b = params.b[params.kept]
     Z = np.column_stack((-a / b, 1.0 / b)) @ np.stack((np.ones_like(zg), zg))
     assert np.array_equal(got, ((reduced_cdf(family, Z) - grid) ** 2) @ w)
-    none = EstimatorParams(a=params.a, b=params.b, kept=np.zeros_like(params.kept))
-    empty = benchmark._ifse_values(none, family, grid, zg, w)
+    empty = benchmark._ifse_values(a[:0], b[:0], family, grid, zg, w)
     assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_ifse_values_leave_their_inputs_unchanged(family):
+    # the floored slope and the clipped shift are new arrays, not the
+    # caller's kept rows rewritten in place
+    grid, zg, w = _ifse_inputs(family)
+    a, b = _synthetic_params(2 * benchmark._IFSE_BLOCK + 37)
+    b[:3] = 1e-310  # floored
+    a[3:6] = 1e300  # a/b clipped
+    a0, b0 = a.copy(), b.copy()
+    benchmark._ifse_values(a, b, family, grid, zg, w)
+    assert np.array_equal(a, a0) and np.array_equal(b, b0)
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
@@ -278,12 +296,11 @@ def test_ifse_values_extreme_slopes_stay_finite_and_match(family):
     a = np.append(a, [0.0, 0.0, 1e10, -1e10, 1e300, -1e300])  # the last four: |a|/b > 1e308
     b = np.append(b, [1e-300, 1e-310, 1e-300, 1e-300, 1e-10, 1e-10])
     assert 0.0 < b[3] < np.finfo(float).tiny
-    params = EstimatorParams(a=a, b=b, kept=np.ones(a.size, dtype=bool))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = benchmark._ifse_values(params, family, grid, zg, w)
+        got = benchmark._ifse_values(a, b, family, grid, zg, w)
     assert np.all(np.isfinite(got))
-    want = _two_step_ifse(params, family, grid, zg, w)
+    want = _two_step_ifse(a, b, family, grid, zg, w)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
@@ -291,15 +308,15 @@ def test_ifse_values_extreme_slopes_stay_finite_and_match(family):
 def test_ifse_values_memory_stays_within_one_block_buffer(family):
     # the allocating expression holds two or three block-sized temporaries
     # at once (2.64 MB on 5,000 rows at 256-row blocks, 1.41 MB at 128, 0.80
-    # MB at 64); one buffer plus the kept rows' a, b and result vectors and
+    # MB at 64); one buffer plus the slope, shift and result vectors and
     # numpy's iterator buffers (about 129 KB with numpy 2.4) stays below
     # the bound at any block size
     grid, zg, w = _ifse_inputs(family)
     rows = 5000
-    params = _synthetic_params(rows)
+    a, b = _synthetic_params(rows)
     tracemalloc.start()
     try:
-        benchmark._ifse_values(params, family, grid, zg, w)
+        benchmark._ifse_values(a, b, family, grid, zg, w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -47,6 +47,16 @@ def test_analyze_month_small_sample_guard():
         analyze_month(MagnitudeRecord("x", (1.5, 1.6, 1.7, 1.8)))
 
 
+@pytest.mark.parametrize("c", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_threshold_is_named(c):
+    # a NaN or infinite c once surfaced as a size or finiteness failure,
+    # because run_case_study filters every month with it first
+    with pytest.raises(ValueError, match="threshold c must be finite"):
+        run_case_study(c=c)
+    with pytest.raises(ValueError, match="threshold c must be finite"):
+        analyze_month(MagnitudeRecord("x", (1.5, 1.6, 1.7, 1.8, 1.9, 2.0)), c=c)
+
+
 def test_analyze_month_method_validation():
     rec = MagnitudeRecord("x", (1.5, 1.6, 1.7, 1.8, 1.9, 2.0))
     with pytest.raises(ValueError):

@@ -237,6 +237,21 @@ def test_benchmark_beyond_exact_means_exits_2_before_sampling(capsys, monkeypatc
     assert "exact mean is limited to N <= 100" in captured.err
 
 
+def test_benchmark_empty_estimator_set_exits_2(capsys, monkeypatch):
+    # no formula and no MLE baseline would report no row, which report-v1
+    # rejects; the cell fails before its first draw
+    from ppbench import benchmark
+
+    calls = []
+    monkeypatch.setattr(benchmark, "sample", lambda *args: calls.append(args))
+    assert main(["benchmark", "--family", "gumbel", "--n", "5", "--formulas", ",",
+                 "--no-mle", "--replicates", "100"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no estimator to benchmark" in captured.err
+
+
 def test_benchmark_deterministic(capsys):
     argv = ["benchmark", "--family", "normal", "--n", "5",
             "--replicates", "200", "--formulas", "hazen"]
@@ -276,9 +291,12 @@ def test_gof_fixed_params_and_log_threshold(tmp_path, capsys):
     ["quantile", "--family", "lognormal3", "--a", "0", "--b", "1", "--c", "nan",
      "--f-level", "0.5"],
     ["bradyseism", "--level", "nan"],
+    ["bradyseism", "--c", "nan"],
+    ["bradyseism", "--c", "inf"],
 ])
 def test_non_finite_parameters_exit_2(argv, values_csv, capsys):
-    # each once reached the report as NaN (not valid JSON) or as a wrong value
+    # each once reached the report as NaN (not valid JSON) or as a wrong value,
+    # or failed with an error that did not name it
     if argv[0] == "gof":
         argv = argv + ["--input", values_csv]
     assert main(argv) == 2

@@ -8,6 +8,8 @@ least squares whitens with the Cholesky factor of their covariance and is
 the best linear unbiased estimator when the design moments are right.
 numpy has no triangular solver, so the whitening is a blocked forward
 substitution: one small ``np.linalg.solve`` per diagonal block of the factor.
+The whitened problem has two unknowns, so it is solved in closed form by one
+Gram-Schmidt step on the whitened columns, with no LAPACK least-squares call.
 
 A maximum-likelihood fit is included as the non-graphical baseline.
 
@@ -89,6 +91,8 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least three points to fit a line")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("inputs must be finite")
+    if (x[1:] < x[:-1]).any():
+        raise ValueError("observations must be sorted in ascending order")
     return x, y
 
 
@@ -136,18 +140,25 @@ def _forward_substitution(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
     """Generalized least squares against precomputed order-statistic moments.
 
-    Solves the whitened normal equations through the Cholesky factor
-    ``moments.L`` of the covariance; the covariance inverse is never formed
-    explicitly. The columns [1, y, x] are whitened together by one blocked
-    forward substitution on the lower triangle of L.
+    The columns [1, y, x] are whitened together, into u, t and w, by one
+    blocked forward substitution on the lower triangle of the Cholesky factor
+    ``moments.L``; the covariance is never inverted. One Gram-Schmidt step
+    solves the least squares of w on [u, t]: with t_perp and w_perp the parts
+    of t and w orthogonal to u, b = t_perp.w_perp / t_perp.t_perp and
+    a = (u.w - b u.t) / u.u. Taking u out of w as well keeps b accurate when y
+    is nearly constant. DegenerateSampleError is raised when
+    |t_perp| <= n * eps * |t|, the cutoff of ``np.linalg.lstsq``'s default rcond.
     """
     x, y = _check_xy(x_sorted, moments.y)
     B = np.column_stack([np.ones_like(y), y, x])
-    Bw = _forward_substitution(moments.L, B)
-    theta, _, rank, _ = np.linalg.lstsq(Bw[:, :2], Bw[:, 2], rcond=None)
-    if rank < 2:
+    u, t, w = _forward_substitution(moments.L, B).T
+    uu, ut, uw = u @ u, u @ t, u @ w
+    t_perp = t - (ut / uu) * u
+    tt = t_perp @ t_perp
+    if math.sqrt(tt) <= x.size * np.finfo(float).eps * math.sqrt(t @ t):
         raise DegenerateSampleError("design ordinates are constant")
-    a, b = float(theta[0]), float(theta[1])
+    b = float(t_perp @ (w - (uw / uu) * u) / tt)
+    a = float((uw - b * ut) / uu)
     resid = x - (a + b * y)
     return FitResult(
         a_hat=a,

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,8 +29,11 @@ from ppbench import (
     proposed_positions,
     quantile,
     reduced,
+    run_case_study,
     sample,
 )
+from ppbench.casestudy import DEFAULT_K
+from ppbench.cli import main
 from ppbench.estimation import _SOLVE_BLOCK, _forward_substitution
 
 
@@ -127,6 +131,32 @@ def test_fit_degenerate_sample():
         fit_mle(np.full(5, 2.0), "gumbel")
 
 
+def test_fits_reject_unsorted_observations():
+    # unsorted, fit_gls would return b = 1.485 here against 2.047 sorted
+    x = np.array([3.0, 1.0, 2.0, 5.0, 4.0, 6.0])
+    m = build_moments("normal", 6)
+    for fit in (lambda v: fit_ols(v, m.y), lambda v: fit_gls(v, m)):
+        with pytest.raises(ValueError, match="ascending"):
+            fit(x)
+        assert fit(np.sort(x)).b_hat > 0
+        fit(np.array([1.0, 1.0, 2.0, 2.0, 3.0, 3.0]))  # ties are in order
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_fit_gls_rank_cutoff(family):
+    m = build_moments(family, 8)
+    x = np.sort(sample(reduced(family), 8, 4))
+    with pytest.raises(DegenerateSampleError, match="constant"):
+        fit_gls(x, dataclasses.replace(m, y=np.full(8, 0.3)))
+    # a design spread by 1e-10 sits far above the n * eps cutoff and still
+    # fits; an exact line through it comes back to about 1e-6, as from
+    # LAPACK's least squares (cond about 1e10)
+    y = 0.3 + 1e-10 * m.y
+    fit = fit_gls(2.0 + 3.0 * y, dataclasses.replace(m, y=y))
+    assert fit.b_hat == pytest.approx(3.0, rel=1e-4)
+    assert fit.a_hat == pytest.approx(2.0, rel=1e-4)
+
+
 def test_one_degenerate_sample_class_across_modules():
     with pytest.raises(ppbench.DegenerateSampleError):
         mad_case3(np.full(5, 2.0))
@@ -166,6 +196,48 @@ def test_fit_gls_whitens_with_the_moments_factor(monkeypatch):
     fit = fit_gls(x, m)
     assert (fit.a_hat, fit.b_hat, fit.ridge) == (ref.a_hat, ref.b_hat, ref.ridge)
     assert np.allclose(m.L @ m.L.T, m.V, rtol=1e-13, atol=0)
+
+
+def _lstsq_gap(x, m):
+    # LAPACK's least squares on the same whitened columns is the reference;
+    # the gap is scaled by max(|a|, |b|) since an intercept can sit near 0
+    Bw = _forward_substitution(m.L, np.column_stack([np.ones(m.n), m.y, x]))
+    (a, b), *_ = np.linalg.lstsq(Bw[:, :2], Bw[:, 2], rcond=None)
+    fit = fit_gls(x, m)
+    return max(abs(fit.a_hat - a), abs(fit.b_hat - b)) / max(abs(a), abs(b))
+
+
+def test_fit_gls_matches_lstsq_on_the_case_study_months():
+    # measured worst 1.1e-15 over the 13 months (n = 42 to 201)
+    gaps = [
+        _lstsq_gap(mo.analysis.log_values, build_moments("normal", mo.analysis.n, DEFAULT_K))
+        for mo in run_case_study("gls").months
+    ]
+    assert len(gaps) == 13
+    assert max(gaps) < 1e-14
+
+
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+@pytest.mark.parametrize("n", [5, 10])
+def test_fit_gls_matches_lstsq_on_exact_moments(family, n):
+    # measured worst 8.1e-16 (normal, n = 5) over seeds 0-9
+    m = build_moments(family, n, cov_mode="exact")
+    gaps = [_lstsq_gap(np.sort(sample(reduced(family), n, seed)), m) for seed in range(10)]
+    assert max(gaps) < 1e-14
+
+
+def test_gls_paths_never_call_lstsq(monkeypatch, tmp_path, capsys):
+    # LAPACK's SVD least-squares routine adds about 1 MB to a process on first use
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called on a GLS path")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    run_case_study("gls")
+    fit_gls(np.sort(sample(reduced("gumbel"), 5, 1)), build_moments("gumbel", 5, cov_mode="exact"))
+    path = tmp_path / "vals.csv"
+    path.write_text("value\n" + "".join("%r\n" % float(v) for v in sample(reduced("normal"), 30, 2)))
+    assert main(["fit", "--input", str(path), "--family", "normal", "--method", "gls"]) == 0
+    assert '"method": "gls"' in capsys.readouterr().out
 
 
 def _whitening_gap(m, seed):

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .benchmark import (
-    DEFAULT_FORMULA_ORDER,
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     ExperimentConfig,
@@ -199,9 +198,9 @@ def _cmd_quantile(args) -> int:
     return 0
 
 
-def _parse_formula_list(raw: str, family: str) -> list:
+def _parse_formula_list(raw: str, family: str) -> Optional[list]:
     if raw.strip().lower() in ("all", ""):
-        return [make_formula(fid, family=family) for fid in DEFAULT_FORMULA_ORDER]
+        return None  # ExperimentConfig's default order
     return [make_formula(tok, family=family) for tok in raw.split(",") if tok.strip()]
 
 
@@ -225,6 +224,8 @@ def _cmd_gof(args) -> int:
     n_total = int(vals.size)
     threshold = args.log_threshold
     if threshold is not None:
+        if not np.isfinite(threshold):
+            raise ValueError("--log-threshold must be finite, got %r" % threshold)
         kept = vals[vals > threshold]
         if kept.size < vals.size:
             print(

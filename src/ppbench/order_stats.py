@@ -6,7 +6,7 @@ Beta(i, N - i + 1)``, keeping derivatives up to a chosen order ``k <= 4``;
 it is cheap and works for any N. Its kernels broadcast over integer rank
 arrays, so a covariance matrix is O(N^2) array work in one call, not O(N^2)
 Python calls. The exact route is the reference the expansion is judged
-against and is cost-guarded to moderate N. It is trapezoid quadrature on
+against, up to one cost cap, EXACT_MAX_N. It is trapezoid quadrature on
 fixed nodes: one array evaluation per (family, N) gives the first two
 moments of every rank, from the density c f F^(i-1) S^(N-i) in linear
 space. Both tables read f, F and S from distributions._parent and nowhere
@@ -23,10 +23,10 @@ nodes are z1 = a sinh(v / a) on a uniform v grid (Stenger, 1993): the rule
 stays exponentially convergent in v, while the tails, above all the
 Gumbel's exp(-z) right tail, take a few widely spaced nodes instead of a
 long uniform run (160 Gumbel and 145 normal rows). The means and second
-moments take the same map at half the v step (319 and 289 rows), whose even
-nodes are the joint moments' nodes. Each error is estimated from the same
-nodes at twice the step and must stay below EXACT_MEAN_TOL (means) or
-EXACT_COV_TOL (second and joint moments).
+moments take the same map at a quarter of the v step (637 and 577 rows),
+whose every fourth node is a joint node. Each error is estimated from the
+same nodes at twice the step and must stay below EXACT_MEAN_TOL (means) or
+EXACT_COV_TOL (second and joint moments), and decides within the cap.
 exact_cov broadcasts over rank arrays like expansion_cov, reading those two
 cached tables.
 """
@@ -55,8 +55,7 @@ DIAGONAL = "diagonal"
 IDENTITY = "identity"
 COV_MODES = (EXPANSION, EXACT, DIAGONAL, IDENTITY)
 
-EXACT_MEAN_MAX_N = 100
-EXACT_COV_MAX_N = 10
+EXACT_MAX_N = 201  # the largest case-study month
 EXACT_MEAN_TOL = 1e-9
 EXACT_COV_TOL = 1e-7
 
@@ -161,13 +160,13 @@ def expansion_cov(family: str, i, j, n: int):
 # range each parent's density is below about 1e-17. Both take
 # z1 = a sinh(v / a), v on a uniform grid anchored at v = 0 and extended to
 # the first node at or beyond each end of the range (see _z1_nodes): of step
-# _COV_STEP_Z1 for the joint moments and half that for the means, whose even
-# nodes are the joint nodes. a = _COV_Z1_SCALE keeps the map near uniform over
-# the body (slope 1 at z = 0) and spaces the nodes out, exponentially in v,
-# in the tails. The inner gap t = z2 - z1 = exp(s - exp(-s)) runs from about
-# 1.3e-16 (s = -3.5) to about 53; the strip of t below the first node holds
-# about 1e-16 of a pair's integral, under double rounding, and beyond the
-# last the pair density is negligible.
+# _COV_STEP_Z1 for the joint moments and a quarter of that for the means,
+# whose every fourth node is a joint node. a = _COV_Z1_SCALE keeps the map
+# near uniform over the body (slope 1 at z = 0) and spaces the nodes out,
+# exponentially in v, in the tails. The inner gap t = z2 - z1 =
+# exp(s - exp(-s)) runs from about 1.3e-16 (s = -3.5) to about 53; the strip
+# of t below the first node holds about 1e-16 of a pair's integral, under
+# double rounding, and beyond the last the pair density is negligible.
 _COV_Z1_RANGE = {NORMAL: (-9.0, 9.0), GUMBEL: (-4.5, 40.0)}
 # The Gumbel's right tail decays only like exp(-z), so the map has most to
 # gain there; the normal tail is already Gaussian, and a smaller scale than 6
@@ -187,19 +186,18 @@ def _nodes(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(round((hi - lo) / step) + 1)
 
 
-def _z1_nodes(family: str, half: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """z1 = a sinh(v / a) and its Jacobian cosh(v / a), on the v step h.
+def _z1_nodes(family: str) -> tuple[np.ndarray, np.ndarray]:
+    """z1 = a sinh(v / a) and its Jacobian cosh(v / a), on the v step h / 4.
 
-    h is _COV_STEP_Z1, or half of it with ``half``. v = k h for every integer
-    k from the first joint node (v a multiple of _COV_STEP_Z1) at or beyond
-    the low end of _COV_Z1_RANGE to the first at or beyond the high end, so
-    z1 = 0 is a node, a symmetric range gives symmetric nodes, and the even
-    nodes of the half step are bitwise those of the full step.
+    h is _COV_STEP_Z1, the joint moments' step. v = k h / 4 for every integer
+    k from the first joint node (v a multiple of h) at or beyond the low end
+    of _COV_Z1_RANGE to the first at or beyond the high end, so z1 = 0 is a
+    node, a symmetric range gives symmetric nodes, and every fourth node is
+    bitwise that of step h, as 4 is a power of two.
     """
     a = _COV_Z1_SCALE[family]
     lo, hi = a * np.arcsinh(np.array(_COV_Z1_RANGE[family]) / a) / _COV_STEP_Z1
-    m = 2 if half else 1
-    v = np.arange(m * math.floor(lo), m * math.ceil(hi) + 1) * (_COV_STEP_Z1 / m / a)
+    v = np.arange(4 * math.floor(lo), 4 * math.ceil(hi) + 1) * (_COV_STEP_Z1 / 4 / a)
     return a * np.sinh(v), np.cosh(v)
 
 
@@ -229,22 +227,24 @@ def _trapezoid_z(g: np.ndarray, step: float, tol: float, what: str) -> np.ndarra
 def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """E[Z_i] and E[Z_i^2] for every rank i = 1..N, as two length-N arrays.
 
-    One trapezoid rule on z1 = a sinh(v / a), v at half the joint moments'
-    step (Jacobian cosh(v / a), see _z1_nodes), serves every rank: the
-    order-statistic density c f F^(i-1) S^(N-i) is built in linear space
-    from one evaluation of f, F and S shared by all ranks, with c from
-    gammaln (numpy's 0**0 is 1, so a zero exponent needs no guard). The
-    error estimate per rank is |I_h - I_2h|, where I_2h sums the even nodes,
-    the joint moments' own; QuadratureError is raised if it exceeds
-    EXACT_MEAN_TOL for a mean or EXACT_COV_TOL for a second moment.
+    One trapezoid rule on the nodes of _z1_nodes (Jacobian cosh(v / a))
+    serves every rank: the order-statistic density c f F^(i-1) S^(N-i) is
+    built in linear space from one evaluation of f, F and S shared by all
+    ranks, with c from gammaln (numpy's 0**0 is 1, so a zero exponent needs
+    no guard). The error estimate per rank is |I_h - I_2h|, where I_2h sums
+    the even nodes; QuadratureError is raised if it exceeds EXACT_MEAN_TOL
+    for a mean or EXACT_COV_TOL for a second moment. Every exact value passes
+    through here, so the route's one cost cap is checked here.
     """
-    z, jz = _z1_nodes(family, half=True)
+    if n > EXACT_MAX_N:
+        raise ValueError("exact moments are limited to N <= %d" % EXACT_MAX_N)
+    z, jz = _z1_nodes(family)
     f, F, S = _parent(family, z)
     a = np.arange(n)[:, None]  # exponent of F; n - 1 - a is that of S
     b = n - 1 - a
     c = np.exp(special.gammaln(n + 1) - special.gammaln(a + 1) - special.gammaln(b + 1))
     w = c * f * F**a * S**b * jz
-    step = _COV_STEP_Z1 / 2
+    step = _COV_STEP_Z1 / 4
     mean = _trapezoid_z(z * w, step, EXACT_MEAN_TOL, "order-statistic mean")
     second = _trapezoid_z(z * z * w, step, EXACT_COV_TOL, "second-moment")
     return mean, second
@@ -255,13 +255,11 @@ def exact_mean(family: str, i: int, n: int) -> float:
     """E of the i-th reduced order statistic by fixed-node quadrature.
 
     Reads the table that one trapezoid rule fills for every rank of an
-    (family, N) at once (see _exact_moments). Guarded to N <= 100; raises
-    QuadratureError if the error estimate exceeds EXACT_MEAN_TOL.
+    (family, N) at once (see _exact_moments), which raises ValueError for
+    N > EXACT_MAX_N and QuadratureError if its error check fails.
     """
     family = paper_family(family)
     _check_indices(i, n)
-    if n > EXACT_MEAN_MAX_N:
-        raise ValueError("exact mean is limited to N <= %d" % EXACT_MEAN_MAX_N)
     return float(_exact_moments(family, n)[0][i - 1])
 
 
@@ -269,14 +267,14 @@ def exact_mean(family: str, i: int, n: int) -> float:
 def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     """E[Z_i Z_j] for every pair of ranks, as a symmetric N x N table.
 
-    The diagonal is E[Z_i^2] from _exact_moments; each pair i < j is
-    integrated once and fills both triangles.
+    The diagonal is E[Z_i^2] from _exact_moments, read first for its cost
+    cap; each pair i < j is integrated once and fills both triangles.
 
     One trapezoid rule on fixed nodes serves every pair: z1 = a sinh(v / a)
     with v on a uniform grid of step _COV_STEP_Z1 anchored at 0 and a from
-    _COV_Z1_SCALE (Jacobian cosh(v / a), see _z1_nodes), and the gap
-    t = z2 - z1 = exp(s - exp(-s)) with s on a uniform grid of step
-    _COV_STEP_S over _COV_S_RANGE (Jacobian t (1 + exp(-s))). The pair
+    _COV_Z1_SCALE (Jacobian cosh(v / a), every fourth node of _z1_nodes),
+    and the gap t = z2 - z1 = exp(s - exp(-s)) with s on a uniform grid of
+    step _COV_STEP_S over _COV_S_RANGE (Jacobian t (1 + exp(-s))). The pair
     density is bounded as t -> 0, so there the integrand in s falls like the
     Jacobian, double-exponentially, and the first node, t ~ 1e-16, leaves
     nothing to truncate. For large s the map is t ~ exp(s), and the
@@ -306,7 +304,8 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
     nodes of the same grid in both variables; QuadratureError is raised if
     it exceeds EXACT_COV_TOL.
     """
-    z, jz = _z1_nodes(family)
+    table = np.diag(_exact_moments(family, n)[1])
+    z, jz = (x[::4] for x in _z1_nodes(family))
     s = _nodes(*_COV_S_RANGE, _COV_STEP_S)
     e = np.exp(-s)
     t = np.exp(s - e)
@@ -333,14 +332,13 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
         coarse += (R[::2, a] * np.matmul(A[::2, :, ::2], Q[::2, ::2])[:, b, g]).sum(axis=0)
     values = scale * fine
     _check_trapezoid(values, 4.0 * scale * coarse, EXACT_COV_TOL, "joint-moment")
-    table = np.diag(_exact_moments(family, n)[1])
     table[ii, jj] = table[jj, ii] = values
     table.flags.writeable = False  # shared by every caller through the cache
     return table
 
 
 def exact_cov(family: str, i, j, n: int):
-    """Covariance of reduced order statistics by quadrature, N <= 10.
+    """Covariance of reduced order statistics by quadrature.
 
     ``i`` and ``j`` are ints (giving a float) or integer rank arrays that
     broadcast together, as in expansion_cov. The value is
@@ -348,13 +346,12 @@ def exact_cov(family: str, i, j, n: int):
     _exact_joint_moments (E[Z_i^2] on its diagonal) and the means of
     _exact_moments. Both tables are cached per (family, N), so this kernel
     keeps no cache of its own; each raises QuadratureError if its error
-    estimate exceeds EXACT_COV_TOL. Symmetric in (i, j).
+    estimate exceeds EXACT_COV_TOL, which the joint table's does from
+    N = 21 (normal) and 24 (Gumbel). Symmetric in (i, j).
     """
     family = paper_family(family)
     i = _check_indices(i, n) - 1
     j = _check_indices(j, n) - 1
-    if n > EXACT_COV_MAX_N:
-        raise ValueError("exact covariance is limited to N <= %d" % EXACT_COV_MAX_N)
     mean = _exact_moments(family, n)[0]
     cov = _exact_joint_moments(family, n)[i, j] - mean[i] * mean[j]
     return float(cov) if cov.ndim == 0 else cov
@@ -414,8 +411,8 @@ def build_moments(
     """Assemble the design moments used by generalized least squares.
 
     cov_mode selects the covariance model: the second-order expansion, the
-    exact quadrature values (N <= 10), the expansion diagonal only, or the
-    identity. In exact mode the mean vector is also exact and k is ignored.
+    exact quadrature values, the expansion diagonal only, or the identity.
+    In exact mode the mean vector is also exact and k is ignored.
     Every covariance mode makes one broadcast kernel call, O(N^2) array
     work for the full matrix, not O(N^2) Python calls.
     """

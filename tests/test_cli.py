@@ -124,12 +124,21 @@ def test_fit_gls_exact_matches_library(tmp_path, capsys, family):
 
 
 def test_fit_gls_exact_size_guard(tmp_path, capsys):
-    path, _ = _values_file(tmp_path, 11)
-    assert main(["fit", "--input", path, "--family", "gumbel", "--method", "gls",
-                 "--cov-mode", "exact"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "limited to N <= 10" in captured.err
+    # one cost cap, N <= 201; below it the joint table's own error check
+    # decides, and it passes at N = 20 for both families but not at N = 30
+    for family in ("gumbel", "normal"):
+        argv = ["fit", "--family", family, "--method", "gls", "--cov-mode", "exact"]
+        for n in (11, 20):
+            path, _ = _values_file(tmp_path, n)
+            assert main(argv + ["--input", path]) == 0
+            assert json.loads(capsys.readouterr().out)["payload"]["n"] == n
+        for n, message in ((30, "joint-moment quadrature error"),
+                           (202, "limited to N <= 201")):
+            path, _ = _values_file(tmp_path, n)
+            assert main(argv + ["--input", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 def test_fit_missing_value_column(tmp_path, capsys):
@@ -218,7 +227,7 @@ def test_benchmark_seed_out_of_range_exits_2(capsys, seed):
 
 
 def test_benchmark_beyond_exact_means_exits_2_before_sampling(capsys, monkeypatch):
-    # DSE reads the exact means, guarded to N <= 100; the cell fails before
+    # DSE reads the exact means, capped at N <= 201; the cell fails before
     # the Monte Carlo draws its first chunk
     from ppbench import benchmark
 
@@ -229,12 +238,12 @@ def test_benchmark_beyond_exact_means_exits_2_before_sampling(capsys, monkeypatc
         return sample(d, n, keys)
 
     monkeypatch.setattr(benchmark, "sample", counting)
-    assert main(["benchmark", "--family", "normal", "--n", "101",
+    assert main(["benchmark", "--family", "normal", "--n", "202",
                  "--replicates", "100"]) == 2
     assert calls == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "exact mean is limited to N <= 100" in captured.err
+    assert "exact moments are limited to N <= 201" in captured.err
 
 
 def test_benchmark_empty_estimator_set_exits_2(capsys, monkeypatch):
@@ -303,6 +312,19 @@ def test_non_finite_parameters_exit_2(argv, values_csv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("flag,shown", [
+    ("--log-threshold=nan", "nan"), ("--log-threshold=inf", "inf"),
+    ("--log-threshold=-inf", "-inf"),
+])
+def test_gof_non_finite_log_threshold_exits_2(flag, shown, values_csv, capsys):
+    # NaN compares false with every value, so the filter once dropped them
+    # all with a note naming "the threshold nan", then failed on the size
+    assert main(["gof", "--input", values_csv, flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --log-threshold must be finite, got %s\n" % shown
 
 
 def test_bradyseism_json_and_plots(tmp_path, capsys):

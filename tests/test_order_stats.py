@@ -111,20 +111,26 @@ def _mp_order_stat_moments(family, i, n):
             mp.quad(lambda z: z * z * density(z), breaks))
 
 
-@pytest.mark.parametrize("n", [5, 30, 100])
+# Absolute bounds on the mean and the variance. At N = 201 the worst measured
+# gaps are 7.5e-13 and 4.0e-12 (Gumbel, rank N), and 3.5e-13 and 9.4e-13
+# (normal, ranks 1 and N).
+MP_BOUNDS = {5: (1e-12, 1e-12), 30: (1e-12, 1e-12), 100: (1e-12, 1e-12), 201: (1e-12, 5e-12)}
+
+
+@pytest.mark.parametrize("n", sorted(MP_BOUNDS))
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_mean_and_variance_match_mpmath(family, n):
+    mean_tol, var_tol = MP_BOUNDS[n]
+    # the variance is read from the second moments that exact_cov puts on its
+    # diagonal; exact_cov itself also needs the joint table, which fails its
+    # check beyond N = 20 (normal) and 23 (Gumbel)
+    second = order_stats._exact_moments(family, n)[1]
     with mp.workdps(20):
         for i in (1, (n + 1) // 2, n):
             m1, m2 = _mp_order_stat_moments(family, i, n)
-            assert exact_mean(family, i, n) == pytest.approx(float(m1), abs=1e-12)
-            if n <= order_stats.EXACT_COV_MAX_N:
-                var = exact_cov(family, i, i, n)
-            else:
-                # exact_cov is guarded to small N; its diagonal reads this table
-                second = order_stats._exact_moments(family, n)[1][i - 1]
-                var = second - exact_mean(family, i, n) ** 2
-            assert var == pytest.approx(float(m2 - m1 * m1), abs=1e-12)
+            mean = exact_mean(family, i, n)
+            assert mean == pytest.approx(float(m1), abs=mean_tol)
+            assert second[i - 1] - mean**2 == pytest.approx(float(m2 - m1 * m1), abs=var_tol)
 
 
 def test_exact_cov_symmetric_in_ranks():
@@ -164,19 +170,18 @@ VAR_Z = {"normal": 1.0, "gumbel": math.pi**2 / 6}
 
 
 def _exact_v(family, n):
-    return np.array(
-        [[exact_cov(family, i, j, n) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    )
+    r = np.arange(1, n + 1)
+    return exact_cov(family, r[:, None], r, n)
 
 
-@pytest.mark.parametrize("n", [3, 5, 10])
+@pytest.mark.parametrize("n", [3, 5, 10, 20])
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_cov_total_is_n_times_parent_variance(family, n):
     # the order statistics sum to the sample total, whose variance is n Var(Z)
     assert _exact_v(family, n).sum() == pytest.approx(n * VAR_Z[family], abs=1e-13)
 
 
-@pytest.mark.parametrize("n", [3, 5, 10])
+@pytest.mark.parametrize("n", [3, 5, 10, 20])
 def test_exact_cov_normal_rows_and_reflection(n):
     V = _exact_v("normal", n)
     # Z_(i) - mean is independent of the mean, so Cov(Z_(i), sum Z) = Var(Z) = 1
@@ -265,17 +270,17 @@ def test_exact_cov_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_mean_coarse_grid_raises(family, monkeypatch, cold_exact_cov):
-    # the means take half the joint step: v step 0.3
-    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 0.6)
+    # the means take a quarter of the joint step: v step 0.3
+    monkeypatch.setattr(order_stats, "_COV_STEP_Z1", 1.2)
     with pytest.raises(QuadratureError, match="order-statistic mean"):
         exact_mean(family, 1, 30)
 
 
-@pytest.mark.parametrize("n", [5, 30, 100])
+@pytest.mark.parametrize("n", [5, 30, 100, 201])
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_moments_v_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
-    # halving the means' v step moves the means by <= 2.7e-15 and the second
-    # moments by <= 3.1e-15 relative (measured)
+    # halving the means' v step moves the means by <= 4.5e-15 and the second
+    # moments by <= 4.0e-15 relative (measured, Gumbel, N = 201)
     mean, second = order_stats._exact_moments(family, n)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
     _clear_exact_caches()
@@ -299,7 +304,7 @@ def _log_parent(family, z):
 
 def _log_form_moments(family, n):
     """E[Z_i] and E[Z_i^2] of every rank from the log-form density, on _exact_moments' nodes."""
-    z, jz = order_stats._z1_nodes(family, half=True)
+    z, jz = order_stats._z1_nodes(family)
     lf, lF, lS = _log_parent(family, z)
     a = np.arange(n)[:, None]
     b = n - 1 - a
@@ -307,14 +312,14 @@ def _log_form_moments(family, n):
     # zero exponents are skipped so that log(0) never multiplies 0
     logd = logc + lf + np.where(a > 0, a * lF, 0.0) + np.where(b > 0, b * lS, 0.0)
     w = np.exp(logd) * jz
-    step = order_stats._COV_STEP_Z1 / 2
+    step = order_stats._COV_STEP_Z1 / 4
     return step * (z * w).sum(axis=1), step * (z * z * w).sum(axis=1)
 
 
 # The linear density against the log form on the same nodes, every rank; the
-# log-form tables are bitwise those the exact means had before. Bounds 1e-14
-# absolute (means) and relative (second moments); measured worst gaps 3.6e-15
-# (Gumbel, N = 100) and 4.1e-15 (normal, N = 100).
+# log form is how the exact means were first computed. Bounds 1e-14 absolute
+# (means) and relative (second moments); measured worst gaps 4.0e-15
+# (Gumbel, N = 100) and 3.9e-15 (normal, N = 100).
 @pytest.mark.parametrize("n", [2, 5, 10, 30, 42, 100])
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_moments_match_log_form(family, n):
@@ -364,7 +369,7 @@ def _per_pair_joint_moments(family, n, z1, w1):
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_match_per_pair_log_form(family, n, cold_exact_cov):
     got = order_stats._exact_joint_moments(family, n)
-    z1, jz = order_stats._z1_nodes(family)
+    z1, jz = (x[::4] for x in order_stats._z1_nodes(family))
     want = _per_pair_joint_moments(family, n, z1, order_stats._COV_STEP_Z1 * jz)
     upper = np.triu_indices(n, 1)
     np.testing.assert_allclose(got[upper], want[upper], rtol=0, atol=1e-14)
@@ -388,17 +393,20 @@ def test_z1_nodes(family):
     z, jz = order_stats._z1_nodes(family)
     # _pair_factors splits the rows at F1 < 1/2 on increasing nodes
     assert np.all(np.diff(z) > 0)
-    assert 0.0 in z
-    lo, hi = order_stats._COV_Z1_RANGE[family]
-    assert z[0] <= lo < z[1] and z[-2] < hi <= z[-1]  # the first node at or beyond each end
     a = order_stats._COV_Z1_SCALE[family]
     np.testing.assert_allclose(jz, np.sqrt(1.0 + (z / a) ** 2), rtol=1e-15)
+    np.testing.assert_allclose(np.diff(a * np.arcsinh(z / a)), order_stats._COV_STEP_Z1 / 4,
+                               rtol=1e-12)
     if family == "normal":
         assert np.array_equal(z, -z[::-1]) and np.array_equal(jz, jz[::-1])
-    # the means' nodes at half the step nest the joint nodes
-    zh, jh = order_stats._z1_nodes(family, half=True)
-    assert zh.size == 2 * z.size - 1
-    assert np.array_equal(zh[::2], z) and np.array_equal(jh[::2], jz)
+    # every fourth node is a joint node: the grid starts and ends on one, and
+    # the first joint node at or beyond each end of the range closes it
+    assert (z.size - 1) % 4 == 0
+    joint = z[::4]
+    assert 0.0 in joint
+    lo, hi = order_stats._COV_Z1_RANGE[family]
+    assert joint[0] <= lo < joint[1] and joint[-2] < hi <= joint[-1]
+    assert joint.size == {"gumbel": 160, "normal": 145}[family]
 
 
 @pytest.mark.parametrize("family,tails", [("gumbel", (-3.0, 20.0)), ("normal", (-8.0, 8.0))])
@@ -421,12 +429,22 @@ def test_pair_gap_is_accurate_in_both_tails(family, tails):
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_joint_moments_at_n20_pass_their_error_check(family, cold_exact_cov):
-    # beyond the N <= 10 guard of exact_cov, read through the private tables:
-    # the estimates are 3.3e-8 (Gumbel) and 6.4e-8 (normal)
+    # exact_cov has no size guard below EXACT_MAX_N: at N = 20 the joint
+    # table's estimates are 3.3e-8 (Gumbel) and 6.4e-8 (normal), so the public
+    # kernel serves the whole matrix, and it is positive definite
     n = 20
-    mean = order_stats._exact_moments(family, n)[0]
-    V = order_stats._exact_joint_moments(family, n) - np.outer(mean, mean)
-    assert V.sum() == pytest.approx(n * VAR_Z[family], abs=1e-13)
+    V = _exact_v(family, n)
+    assert V.shape == (n, n) and np.array_equal(V, V.T)
+    assert _is_spd(V)
+
+
+@pytest.mark.parametrize("family,last", [("gumbel", 23), ("normal", 20)])
+def test_exact_cov_reach_ends_where_its_check_fails(family, last, cold_exact_cov):
+    # the last N whose joint table passes its check, then the first that fails
+    # (estimates 1.25e-7 Gumbel and 1.08e-7 normal, against EXACT_COV_TOL)
+    assert np.isfinite(exact_cov(family, 1, last, last))
+    with pytest.raises(QuadratureError, match="joint-moment"):
+        exact_cov(family, 1, last + 1, last + 1)
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
@@ -442,8 +460,8 @@ def test_joint_moments_at_n30_fail_their_error_check(family, cold_exact_cov):
 def test_joint_moments_z1_step_does_not_bind(family, n, monkeypatch, cold_exact_cov):
     # the s step sets the joint moments' error: halving the v step of the z1
     # map (the means' step halves with it) moves no pair i < j by more than a
-    # few rounding units (measured <= 2.7e-15); the diagonal, the means'
-    # second moments, moved by 1.42e-14 absolute, about 1e-15 relative
+    # few rounding units (measured <= 1.8e-15); the diagonal, the means'
+    # second moments, moved by 8.9e-15 absolute, about 6e-16 relative
     # (Gumbel, N = 20)
     table = order_stats._exact_joint_moments(family, n)
     monkeypatch.setattr(order_stats, "_COV_STEP_Z1", order_stats._COV_STEP_Z1 / 2)
@@ -514,8 +532,8 @@ def test_exact_mean_guards():
         exact_mean("gumbel", 0, 5)
     with pytest.raises(ValueError):
         exact_mean("gumbel", 6, 5)
-    with pytest.raises(ValueError):
-        exact_mean("gumbel", 1, 101)
+    with pytest.raises(ValueError, match="limited to N <= 201"):
+        exact_mean("gumbel", 1, 202)
 
 
 # --- series approximation vs exact ------------------------------------------
@@ -555,6 +573,7 @@ P_GAP = {
         30: ((1.37e-2, 1.41e-2), (1.77e-3, 1.37e-3), (1.70e-2, 8.20e-3), (2.04e-4, 5.08e-5)),
         42: ((9.98e-3, 1.04e-2), (1.22e-3, 9.24e-4), (1.28e-2, 6.27e-3), (1.57e-4, 3.65e-5)),
         100: ((4.30e-3, 4.60e-3), (4.77e-4, 3.48e-4), (5.83e-3, 2.91e-3), (7.28e-5, 1.96e-5)),
+        201: ((2.16e-3, 2.35e-3), (2.31e-4, 1.65e-4), (2.99e-3, 1.50e-3), (3.73e-5, 1.05e-5)),
     },
     "normal": {
         5: ((4.42e-2, 2.30e-2), (8.69e-3, 4.45e-3), (3.50e-2, 9.57e-3), (7.45e-4, 6.22e-4)),
@@ -562,6 +581,7 @@ P_GAP = {
         30: ((1.17e-2, 1.14e-2), (1.09e-3, 8.26e-4), (1.35e-2, 6.28e-3), (1.50e-4, 1.75e-5)),
         42: ((8.64e-3, 8.62e-3), (7.46e-4, 5.56e-4), (1.04e-2, 4.91e-3), (1.21e-4, 2.17e-5)),
         100: ((3.82e-3, 3.95e-3), (3.01e-4, 2.14e-4), (4.86e-3, 2.38e-3), (5.85e-5, 1.45e-5)),
+        201: ((1.95e-3, 2.04e-3), (1.50e-4, 1.04e-4), (2.54e-3, 1.26e-3), (3.02e-5, 8.06e-6)),
     },
 }
 
@@ -570,10 +590,10 @@ def test_expansion_mean_improves_with_order():
     # truncation error shrinks from k = 0 to 2 to 4. k = 3 is no step on that
     # path: the third- and fourth-derivative terms are both O(1/(N+2)^2), and
     # k = 3 adds the first without the second, so its worst error is 3.0 to
-    # 12.6 times that of k = 2 at N = 5..100 (measured), and from N = 30 on
+    # 12.9 times that of k = 2 at N = 5..201 (measured), and from N = 30 on
     # it is worse than k = 0 as well
     for family in ("normal", "gumbel"):
-        for n in (5, 10, 30, 42, 100):
+        for n in (5, 10, 30, 42, 100, 201):
             err = {k: _expansion_errors(family, n, k).max() for k in (0, 2, 3, 4)}
             assert err[4] <= err[2] <= err[0], (family, n, err)
             assert err[3] >= 2.5 * err[2], (family, n, err)
@@ -587,25 +607,28 @@ def test_expansion_mean_improves_with_order():
                 assert gap[1:-1].max() <= 1.1 * interior, (family, n, k)
 
 
-# k = 4 at N = 30, 42 and 100: the worst |eupp - exact| in z sits at rank 1
-# or N and does not fall with N. Measured edge errors 2.42e-3, 2.42e-3 and
-# 4.44e-3 (Gumbel), 3.04e-3, 3.27e-3 and 3.42e-3 (normal); interior errors at
-# most 1.03e-3 (Gumbel, N = 30) and 3.65e-4 (normal, N = 100).
+# k = 4 at N = 30, 42, 100 and 201: the worst |eupp - exact| in z sits at
+# rank 1 or N and does not fall below its N = 30 value. Measured edge errors
+# 2.42e-3, 2.42e-3, 4.44e-3 and 5.29e-3 (Gumbel), 3.04e-3, 3.27e-3, 3.42e-3
+# and 3.32e-3 (normal); interior errors at most 1.03e-3 (Gumbel, N = 30) and
+# 3.74e-4 (normal, N = 201). The edge bands hold for N <= 100; at N = 201
+# the Gumbel's edge error leaves its band upwards.
 K4_EDGE_BOUNDS = {"gumbel": (2.4e-3, 4.5e-3), "normal": (3.0e-3, 3.5e-3)}
+K4_EDGE_BOUNDS_201 = {"gumbel": (4.5e-3, 5.3e-3), "normal": (3.0e-3, 3.5e-3)}
 K4_INTERIOR_BOUND = {"gumbel": 1.1e-3, "normal": 4.0e-4}
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_expansion_mean_k4_edge_ranks_do_not_converge(family):
-    lo, hi = K4_EDGE_BOUNDS[family]
     edge = {}
-    for n in (30, 42, 100):
+    for n in (30, 42, 100, 201):
+        lo, hi = (K4_EDGE_BOUNDS if n <= 100 else K4_EDGE_BOUNDS_201)[family]
         err = _expansion_errors(family, n, 4)
         assert int(np.argmax(err)) in (0, n - 1), (family, n)
         edge[n] = max(err[0], err[-1])
         assert lo <= edge[n] <= hi, (family, n, edge[n])
         assert err[1:-1].max() <= K4_INTERIOR_BOUND[family], (family, n)
-    assert edge[100] >= edge[30], (family, edge)
+    assert min(edge[100], edge[201]) >= edge[30], (family, edge)
 
 
 # The accuracy map in z for k = 0, 2, 3: the worst |eupp - exact| at ranks 1
@@ -616,11 +639,13 @@ Z_GAP = {
         30: ((0.561, 0.254), (9.22e-2, 2.76e-2), (0.659, 0.155)),
         42: ((0.565, 0.258), (8.83e-2, 2.57e-2), (0.681, 0.163)),
         100: ((0.572, 0.265), (8.21e-2, 2.28e-2), (0.716, 0.177)),
+        201: ((0.575, 0.268), (7.97e-2, 2.16e-2), (0.730, 0.182)),
     },
     "normal": {
         30: ((0.194, 9.77e-2), (2.14e-2, 7.59e-3), (0.219, 5.55e-2)),
         42: ((0.190, 9.61e-2), (1.97e-2, 6.71e-3), (0.220, 5.66e-2)),
         100: ((0.178, 9.03e-2), (1.71e-2, 5.35e-3), (0.215, 5.65e-2)),
+        201: ((0.168, 8.54e-2), (1.61e-2, 4.81e-3), (0.208, 5.48e-2)),
     },
 }
 
@@ -797,8 +822,11 @@ def test_build_moments_exact_mode_small_n():
 
 
 def test_build_moments_exact_mode_size_cap():
-    with pytest.raises(ValueError):
-        build_moments("normal", 11, cov_mode="exact")
+    with pytest.raises(ValueError, match="limited to N <= 201"):
+        build_moments("normal", 202, cov_mode="exact")
+    # within the cap the joint table's own check decides
+    with pytest.raises(QuadratureError):
+        build_moments("normal", 30, cov_mode="exact")
 
 
 def test_build_moments_diagonal_and_identity():

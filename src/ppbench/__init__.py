@@ -43,7 +43,6 @@ from .positions import (
     CLASSICAL_IDS,
     EUPP_ID,
     PositionFormula,
-    PositionSet,
     canonical_formula_id,
     catalogue,
     classical_positions,
@@ -68,7 +67,6 @@ from .estimation import (
     predict_quantile,
 )
 from .benchmark import (
-    DEFAULT_FORMULA_ORDER,
     DEFAULT_REPLICATES,
     DEFAULT_SEED,
     BenchmarkReport,

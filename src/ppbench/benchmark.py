@@ -51,7 +51,7 @@ from .distributions import (
 )
 from .estimation import OLS, mle_batch, ols_batch
 from .order_stats import exact_mean
-from .positions import EUPP_ID, PositionFormula, make_formula, positions_for
+from .positions import ALL_IDS, EUPP_ID, PositionFormula, make_formula, positions_for
 
 DEFAULT_REPLICATES = 10_000
 DEFAULT_SEED = 20140101
@@ -60,25 +60,7 @@ MIN_REPLICATES = 100
 THREADS_ENV = "PPBENCH_THREADS"
 MLE_KEY = "mle"
 
-# One combined row per catalogue entry; tukey and kerman share constants but
-# both ids are kept so either name resolves.
-DEFAULT_FORMULA_ORDER = (
-    "eupp",
-    "hazen",
-    "beard",
-    "blom",
-    "tukey",
-    "kerman",
-    "gringorten",
-    "yu_huang_normal",
-    "yu_huang_gumbel",
-    "de",
-    "weibull",
-    "cunnane",
-    "adamowski",
-    "erto_lepore_2013",
-)
-
+_INTS = (int, np.integer)  # what replicate_key accepts, bools aside
 _CHUNK = 1024
 _IFSE_BLOCK = 128
 
@@ -96,8 +78,13 @@ def replicate_key(seed: int, m: int) -> int:
 
     Keys place the seed in the upper 64 bits and m in the lower, so distinct
     (seed, m) pairs never share a stream and any replicate can be
-    regenerated in isolation with sample(). Both must lie in [0, 2**64).
+    regenerated in isolation with sample(). Both must be ints (numpy
+    integers too; bools are refused, TypeError) in [0, 2**64) (ValueError).
     """
+    # bool is an int subclass, and int() would silently truncate a float
+    if (not isinstance(seed, _INTS) or not isinstance(m, _INTS)
+            or isinstance(seed, bool) or isinstance(m, bool)):
+        raise TypeError("seed and replicate index must be ints, got %r, %r" % (seed, m))
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError("seed must lie in [0, 2**64), got %d" % seed)
     if not 0 <= m < SEED_LIMIT:
@@ -165,7 +152,7 @@ class ExperimentConfig:
             raise ValueError("seed must be an int in [0, 2**64), got %r" % (self.seed,))
 
         resolved = []
-        source = self.formulas if self.formulas is not None else DEFAULT_FORMULA_ORDER
+        source = self.formulas if self.formulas is not None else ALL_IDS
         for f in source:
             if not isinstance(f, PositionFormula):
                 f = make_formula(f, family=family)
@@ -254,8 +241,7 @@ def dse(family: str, n: int, f: FormulaLike) -> float:
     if not isinstance(f, PositionFormula):
         f = make_formula(f, family=family)
     _check_formula_family(f, family)
-    p = positions_for(f, n, family=family).p
-    zhat = reduced_quantile(family, p)
+    zhat = reduced_quantile(family, positions_for(f, n, family=family))
     means = np.array([exact_mean(family, i, n) for i in range(1, n + 1)])
     return float(np.sqrt(np.mean((zhat - means) ** 2)))
 
@@ -346,7 +332,7 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
     design = {}
     key_of = {MLE_KEY: MLE_KEY} if cfg.include_mle else {}
     for f in cfg.formulas:
-        z = reduced_quantile(family, positions_for(f, n, family=family).p)
+        z = reduced_quantile(family, positions_for(f, n, family=family))
         key_of[f.label] = z.tobytes()
         design[z.tobytes()] = z
     # DSE needs no sample, and a cell whose exact means fail fails before any draw

@@ -155,8 +155,8 @@ def analyze_month(
     n = int(logs.size)
 
     if method == OLS:
-        pset = proposed_positions(NORMAL, n, k)
-        y = np.asarray(reduced_quantile(NORMAL, pset.p), dtype=float)
+        p = proposed_positions(NORMAL, n, k)
+        y = np.asarray(reduced_quantile(NORMAL, p), dtype=float)
         fit: FitResult = fit_ols(logs, y, family=NORMAL)
     else:
         moments = build_moments(NORMAL, n, k, cov_mode=EXPANSION)

@@ -107,11 +107,10 @@ def _cmd_positions(args) -> int:
     if fid == EUPP_ID and family is None:
         raise ValueError("--family is required for the exact-unbiased formula")
     f = make_formula(fid, family=family, k=args.k)
-    ps = positions_for(f, args.n, family=family)
     buf = ["rank,i,p"]
-    for idx, p in enumerate(ps.p, start=1):
+    for idx, p in enumerate(positions_for(f, args.n, family=family), start=1):
         # rank counts down from the largest observation (return-period order)
-        buf.append("%d,%d,%.12g" % (ps.n - idx + 1, idx, p))
+        buf.append("%d,%d,%.12g" % (args.n - idx + 1, idx, p))
     _write_text("\n".join(buf) + "\n", args.out)
     return 0
 
@@ -132,8 +131,8 @@ def _fit_family(args) -> str:
 def _formula_design(x: np.ndarray, family: str, args):
     """Reduced-variate ordinates of the --formula positions, and the formula's label."""
     f = make_formula(args.formula, family=family, k=args.k)
-    ps = positions_for(f, int(x.size), family=family)
-    return np.asarray(reduced_quantile(family, ps.p)), f.label
+    p = positions_for(f, int(x.size), family=family)
+    return np.asarray(reduced_quantile(family, p)), f.label
 
 
 def _fit(x: np.ndarray, family: str, args, cov_mode: str):

@@ -41,7 +41,6 @@ from .order_stats import OrderStatMoments
 OLS = "ols"
 GLS = "gls"
 MLE = "mle"
-METHODS = (OLS, GLS, MLE)
 
 MLE_MAX_ITER = 200
 MLE_TOL = 1e-12  # the Newton loop stops once every row's step is below this

@@ -28,7 +28,8 @@ whose every fourth node is a joint node. Each error is estimated from the
 same nodes at twice the step and must stay below EXACT_MEAN_TOL (means) or
 EXACT_COV_TOL (second and joint moments), and decides within the cap.
 exact_cov broadcasts over rank arrays like expansion_cov, reading those two
-cached tables.
+cached tables; the variances alone (i and j equal) read only the second
+moments.
 """
 
 from __future__ import annotations
@@ -347,13 +348,17 @@ def exact_cov(family: str, i, j, n: int):
     _exact_moments. Both tables are cached per (family, N), so this kernel
     keeps no cache of its own; each raises QuadratureError if its error
     estimate exceeds EXACT_COV_TOL, which the joint table's does from
-    N = 21 (normal) and 24 (Gumbel). Symmetric in (i, j).
+    N = 21 (normal) and 24 (Gumbel). When i and j are equal (the variances
+    alone), only _exact_moments is read, so variances reach N = EXACT_MAX_N.
+    Symmetric in (i, j).
     """
     family = paper_family(family)
     i = _check_indices(i, n) - 1
     j = _check_indices(j, n) - 1
-    mean = _exact_moments(family, n)[0]
-    cov = _exact_joint_moments(family, n)[i, j] - mean[i] * mean[j]
+    mean, second = _exact_moments(family, n)
+    diagonal = i.shape == j.shape and (i == j).all()
+    joint = second[i] if diagonal else _exact_joint_moments(family, n)[i, j]
+    cov = joint - mean[i] * mean[j]
     return float(cov) if cov.ndim == 0 else cov
 
 

@@ -11,11 +11,15 @@ makes the positions symmetric: p_i + p_{N+1-i} = 1). The exact-unbiased
 entry ("eupp") instead evaluates the reduced parent's CDF at an approximation
 of the expected order statistic, so it depends on the assumed family and on
 the Taylor truncation level k.
+
+Every position function returns the positions as a 1-D float array
+p_1 < ... < p_N. ``ALL_IDS`` lists the catalogue in the order of the paper's
+tables: eupp first, then the classical rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -56,11 +60,10 @@ class PositionFormula:
         return self.id
 
 
-# Offsets (rank_offset, size_offset). Entries with size_offset = 1 - 2A are
-# written out explicitly. The 0.44 constant is the standard extreme-value
-# value from the 1963 plotting rule.
+# Offsets (rank_offset, size_offset), in the paper's table order. Entries
+# with size_offset = 1 - 2A are written out explicitly. The 0.44 constant is
+# the standard extreme-value value from the 1963 plotting rule.
 _CLASSICAL: dict[str, tuple[float, float]] = {
-    "weibull": (0.0, 1.0),
     "hazen": (0.5, 0.0),
     "beard": (0.31, 0.38),
     "blom": (0.375, 0.25),
@@ -70,13 +73,15 @@ _CLASSICAL: dict[str, tuple[float, float]] = {
     "yu_huang_normal": (0.399, 0.203),
     "yu_huang_gumbel": (0.507, 0.176),
     "de": (0.28, 0.28),
+    "weibull": (0.0, 1.0),
     "cunnane": (0.4, 0.2),
     "adamowski": (0.25, 0.5),
 }
 
 # erto_lepore_2013 has sample-size-dependent offsets, handled separately.
-CLASSICAL_IDS = tuple(sorted(_CLASSICAL)) + ("erto_lepore_2013",)
-ALL_IDS = CLASSICAL_IDS + (EUPP_ID,)
+# tukey and kerman share constants; both ids are kept so either name resolves.
+CLASSICAL_IDS = tuple(_CLASSICAL) + ("erto_lepore_2013",)
+ALL_IDS = (EUPP_ID,) + CLASSICAL_IDS
 
 _FORMULA_ALIASES = {
     "proposed": EUPP_ID,
@@ -115,21 +120,6 @@ def catalogue() -> tuple[PositionFormula, ...]:
     return tuple(make_formula(fid) for fid in CLASSICAL_IDS)
 
 
-@dataclass(frozen=True)
-class PositionSet:
-    """Plotting positions p_1 < ... < p_N for a sample of size n."""
-
-    n: int
-    p: np.ndarray = field(repr=False)
-    formula: PositionFormula
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "p", p)
-        if p.shape != (self.n,):
-            raise ValueError("positions must be a vector of length n")
-
-
 def _erto_lepore_2013_offsets(n: int) -> tuple[float, float]:
     # rank_offset(n) = n + (n - 1) / (2**(1/n) - 2); the second term is
     # negative and slightly larger than n in magnitude, leaving a small
@@ -138,8 +128,8 @@ def _erto_lepore_2013_offsets(n: int) -> tuple[float, float]:
     return a, 1.0 - 2.0 * a
 
 
-def classical_positions(f: Union[str, PositionFormula], n: int) -> PositionSet:
-    """Evaluate a two-constant formula for sample size n."""
+def classical_positions(f: Union[str, PositionFormula], n: int) -> np.ndarray:
+    """Evaluate a two-constant formula for sample size n; returns p as a 1-D array."""
     if isinstance(f, str):
         f = make_formula(f)
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -151,8 +141,6 @@ def classical_positions(f: Union[str, PositionFormula], n: int) -> PositionSet:
             # its offset divides by 2**(1/n) - 2, which is 0 at n = 1
             raise ValueError("formula erto_lepore_2013 needs n >= 2, got n=%d" % n)
         a, b = _erto_lepore_2013_offsets(n)
-        # record the offsets actually used for this n on the result
-        f = PositionFormula(id=f.id, rank_offset=a, size_offset=b)
     else:
         a, b = f.rank_offset, f.size_offset
         if a is None or b is None:
@@ -165,11 +153,11 @@ def classical_positions(f: Union[str, PositionFormula], n: int) -> PositionSet:
         )
     if np.any(np.diff(p) <= 0.0):
         raise ValueError("positions must be strictly increasing")
-    return PositionSet(n=n, p=p, formula=f)
+    return p
 
 
-def proposed_positions(family: str, n: int, k: int = 4) -> PositionSet:
-    """Positions from approximate expected order statistics.
+def proposed_positions(family: str, n: int, k: int = 4) -> np.ndarray:
+    """Positions from approximate expected order statistics, as a 1-D array.
 
     p_i is the reduced parent's CDF evaluated at the k-th order Taylor
     approximation of E of the i-th reduced order statistic. With k = 0 this
@@ -182,17 +170,16 @@ def proposed_positions(family: str, n: int, k: int = 4) -> PositionSet:
     p = np.asarray(reduced_cdf(family, y), dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("expected order statistics map outside (0, 1)")
-    f = PositionFormula(id=EUPP_ID, family=family, k=k)
-    return PositionSet(n=n, p=p, formula=f)
+    return p
 
 
 def positions_for(
     f: Union[str, PositionFormula], n: int, family: Optional[str] = None
-) -> PositionSet:
+) -> np.ndarray:
     """Dispatch between the classical rule and the exact-unbiased rule.
 
-    ``family`` is read only to build a formula given by name; an
-    exact-unbiased formula always carries its own family.
+    Returns p as a 1-D array. ``family`` is read only to build a formula
+    given by name; an exact-unbiased formula always carries its own family.
     """
     if isinstance(f, str):
         f = make_formula(f, family=family)
@@ -201,7 +188,7 @@ def positions_for(
     return classical_positions(f, n)
 
 
-def symmetry_check(ps: PositionSet, tol: float = 1e-12) -> bool:
+def symmetry_check(p: np.ndarray, tol: float = 1e-12) -> bool:
     """True when p_i + p_{n+1-i} = 1 to within tol for all i."""
-    s = ps.p + ps.p[::-1]
+    s = p + p[::-1]
     return bool(np.max(np.abs(s - 1.0)) <= tol)

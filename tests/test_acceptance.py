@@ -279,7 +279,7 @@ def test_iqse_matches_exact_value(suite_reports):
             w = _trapezoid_weights(grid)
             W0, W1, W2 = w.sum(), zg @ w, (zg * zg) @ w
             for f in cfg.formulas:
-                z = reduced_quantile(family, positions_for(f, n, family=family).p)
+                z = reduced_quantile(family, positions_for(f, n, family=family))
                 ca, cb = ols_batch(np.eye(n), z)
                 Eaa = ca @ S @ ca
                 Eab = ca @ S @ cb - ca @ mu
@@ -596,8 +596,8 @@ def test_criterion_6_property_bundle():
     # (c) zeroth-order proposal collapses to the i/(N+1) rule
     for family in FAMILIES:
         for size in (5, 10, 30):
-            got = proposed_positions(family, size, k=0).p
-            ref = classical_positions("weibull", size).p
+            got = proposed_positions(family, size, k=0)
+            ref = classical_positions("weibull", size)
             assert np.max(np.abs(got - ref)) < 1e-13
 
     # (d) identity-weighted GLS equals OLS to 1e-10

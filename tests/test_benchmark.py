@@ -55,6 +55,16 @@ def test_replicate_key_rejects_out_of_range():
             replicate_key(seed, m)
 
 
+def test_replicate_key_rejects_non_integers():
+    # int() would truncate these onto another pair's stream: 2.5 -> 2, True -> 1
+    for seed, m in ((2.5, 0), (2, 7.9), (True, 3), (1, np.True_), ("2", 0), (2, None)):
+        with pytest.raises(TypeError):
+            replicate_key(seed, m)
+    # numpy integers are ints and name the same stream
+    assert replicate_key(np.int64(2), np.uint64(7)) == replicate_key(2, 7)
+    assert type(replicate_key(np.int64(2), np.uint64(7))) is int
+
+
 def test_default_grid_shape():
     g = default_f_grid()
     assert g.shape == (399,)
@@ -478,7 +488,7 @@ def test_suite_rows_match_independent_oracle():
         return (curves[:, 1:] + curves[:, :-1]) @ half_steps
 
     for label in ("weibull", "blom"):
-        p = positions_for(label, n, family="gumbel").p
+        p = positions_for(label, n, family="gumbel")
         design = np.column_stack([np.ones(n), -np.log(-np.log(p))])
         (a, b), *_ = np.linalg.lstsq(design, X.T, rcond=None)
         qse = (a[:, None] + (b[:, None] - 1.0) * zF) ** 2

@@ -46,7 +46,7 @@ def test_positions_csv_golden(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "rank,i,p"
     # ranks count down from the largest observation
-    ref = classical_positions("blom", 5).p
+    ref = classical_positions("blom", 5)
     rows = [line.split(",") for line in out[1:]]
     assert [r[0] for r in rows] == ["5", "4", "3", "2", "1"]
     assert [r[1] for r in rows] == ["1", "2", "3", "4", "5"]

@@ -38,8 +38,7 @@ from ppbench.estimation import _SOLVE_BLOCK, _forward_substitution
 
 
 def _design(family, n, formula="blom"):
-    ps = positions_for(formula, n, family=family)
-    return quantile(reduced(family), ps.p)
+    return quantile(reduced(family), positions_for(formula, n, family=family))
 
 
 def test_ols_matches_polyfit():
@@ -370,7 +369,7 @@ def test_design_parameter_freeness_of_fitted_indices():
     # the sampling law of (a_hat - a)/b and b_hat/b does not depend on (a, b);
     # with common random numbers the realized values match exactly
     n = 10
-    y = proposed_positions("gumbel", n).p
+    y = proposed_positions("gumbel", n)
     design = quantile(reduced("gumbel"), y)
     z = np.sort(sample(reduced("gumbel"), n, 314))
     f_reduced = fit_ols(z, design, family="gumbel")

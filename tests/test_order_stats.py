@@ -121,16 +121,13 @@ MP_BOUNDS = {5: (1e-12, 1e-12), 30: (1e-12, 1e-12), 100: (1e-12, 1e-12), 201: (1
 @pytest.mark.parametrize("family", ["gumbel", "normal"])
 def test_exact_mean_and_variance_match_mpmath(family, n):
     mean_tol, var_tol = MP_BOUNDS[n]
-    # the variance is read from the second moments that exact_cov puts on its
-    # diagonal; exact_cov itself also needs the joint table, which fails its
-    # check beyond N = 20 (normal) and 23 (Gumbel)
-    second = order_stats._exact_moments(family, n)[1]
+    # the variances alone read only the second moments, so exact_cov gives
+    # them at every N, beyond the joint table's reach
     with mp.workdps(20):
         for i in (1, (n + 1) // 2, n):
             m1, m2 = _mp_order_stat_moments(family, i, n)
-            mean = exact_mean(family, i, n)
-            assert mean == pytest.approx(float(m1), abs=mean_tol)
-            assert second[i - 1] - mean**2 == pytest.approx(float(m2 - m1 * m1), abs=var_tol)
+            assert exact_mean(family, i, n) == pytest.approx(float(m1), abs=mean_tol)
+            assert exact_cov(family, i, i, n) == pytest.approx(float(m2 - m1 * m1), abs=var_tol)
 
 
 def test_exact_cov_symmetric_in_ranks():
@@ -445,6 +442,18 @@ def test_exact_cov_reach_ends_where_its_check_fails(family, last, cold_exact_cov
     assert np.isfinite(exact_cov(family, 1, last, last))
     with pytest.raises(QuadratureError, match="joint-moment"):
         exact_cov(family, 1, last + 1, last + 1)
+
+
+@pytest.mark.parametrize("n", [30, 201])
+@pytest.mark.parametrize("family", ["gumbel", "normal"])
+def test_exact_cov_variances_alone_skip_the_joint_table(family, n, cold_exact_cov):
+    # beyond the joint table's reach, the variances still come from the
+    # second moments alone, and no joint table is built
+    r = np.arange(1, n + 1)
+    var = exact_cov(family, r, r, n)
+    assert var.shape == (n,) and (var > 0).all()
+    assert exact_cov(family, n, n, n) == var[-1]
+    assert order_stats._exact_joint_moments.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal"])

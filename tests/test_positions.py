@@ -16,6 +16,7 @@ from ppbench import (
     proposed_positions,
     symmetry_check,
 )
+from ppbench.positions import _erto_lepore_2013_offsets
 
 OFFSET_TABLE = {
     "weibull": (0.0, 1.0),
@@ -55,28 +56,29 @@ def test_formula_aliases():
 
 
 def test_weibull_positions_small_sample():
-    ps = classical_positions("weibull", 4)
-    assert np.allclose(ps.p, [0.2, 0.4, 0.6, 0.8])
+    p = classical_positions("weibull", 4)
+    assert np.allclose(p, [0.2, 0.4, 0.6, 0.8])
 
 
 def test_blom_positions_pinned_value():
-    ps = classical_positions("blom", 10)
-    assert ps.p[0] == pytest.approx(0.0609756097560976, rel=1e-12)
-    assert ps.p[-1] == pytest.approx(1 - 0.0609756097560976, rel=1e-12)
+    p = classical_positions("blom", 10)
+    assert p[0] == pytest.approx(0.0609756097560976, rel=1e-12)
+    assert p[-1] == pytest.approx(1 - 0.0609756097560976, rel=1e-12)
 
 
 def test_hazen_midpoints():
-    ps = classical_positions("hazen", 5)
-    assert np.allclose(ps.p, [0.1, 0.3, 0.5, 0.7, 0.9])
+    p = classical_positions("hazen", 5)
+    assert np.allclose(p, [0.1, 0.3, 0.5, 0.7, 0.9])
 
 
 def test_sample_size_dependent_offsets():
     # this catalogue entry recomputes its offsets from n
-    f5 = positions_for("erto_lepore_2013", 5).formula
-    assert f5.rank_offset == pytest.approx(0.3013129676425459, rel=1e-12)
-    assert f5.size_offset == pytest.approx(1 - 2 * f5.rank_offset, rel=1e-12)
-    f30 = positions_for("erto_lepore_2013", 30).formula
-    assert f30.rank_offset == pytest.approx(0.306, abs=0.001)
+    a5, b5 = _erto_lepore_2013_offsets(5)
+    assert a5 == pytest.approx(0.3013129676425459, rel=1e-12)
+    assert b5 == pytest.approx(1 - 2 * a5, rel=1e-12)
+    assert np.array_equal(positions_for("erto_lepore_2013", 5), (np.arange(1, 6) - a5) / (5 + b5))
+    a30, _ = _erto_lepore_2013_offsets(30)
+    assert a30 == pytest.approx(0.306, abs=0.001)
 
 
 def test_symmetric_formulas_satisfy_reflection():
@@ -85,23 +87,21 @@ def test_symmetric_formulas_satisfy_reflection():
              "cunnane", "adamowski", "erto_lepore_2013")
     for name in names:
         for n in (3, 8, 21):
-            ps = positions_for(name, n)
-            assert symmetry_check(ps), (name, n)
+            assert symmetry_check(positions_for(name, n)), (name, n)
 
 
 def test_asymmetric_formulas_fail_reflection():
     for name in ("yu_huang_normal", "yu_huang_gumbel", "de"):
-        ps = positions_for(name, 10)
-        assert not symmetry_check(ps), name
+        assert not symmetry_check(positions_for(name, 10)), name
 
 
 @given(st.sampled_from(sorted(OFFSET_TABLE)), st.integers(min_value=1, max_value=200))
 @settings(max_examples=80, deadline=None)
 def test_positions_strictly_increasing_inside_unit_interval(name, n):
-    ps = classical_positions(name, n)
-    assert ps.p.shape == (n,)
-    assert np.all(ps.p > 0) and np.all(ps.p < 1)
-    assert np.all(np.diff(ps.p) > 0)
+    p = classical_positions(name, n)
+    assert p.shape == (n,)
+    assert np.all(p > 0) and np.all(p < 1)
+    assert np.all(np.diff(p) > 0)
 
 
 def test_proposed_positions_order_zero_reduces_to_weibull():
@@ -109,30 +109,30 @@ def test_proposed_positions_order_zero_reduces_to_weibull():
         for n in (4, 9, 17):
             got = proposed_positions(family, n, k=0)
             ref = classical_positions("weibull", n)
-            assert np.allclose(got.p, ref.p, rtol=0, atol=1e-13), (family, n)
+            assert np.allclose(got, ref, rtol=0, atol=1e-13), (family, n)
 
 
 def test_proposed_positions_depend_on_family():
-    g = proposed_positions("gumbel", 10).p
-    m = proposed_positions("normal", 10).p
+    g = proposed_positions("gumbel", 10)
+    m = proposed_positions("normal", 10)
     assert not np.allclose(g, m)
 
 
 def test_proposed_positions_normal_nearly_symmetric():
-    ps = proposed_positions("normal", 12)
-    assert np.max(np.abs(ps.p + ps.p[::-1] - 1)) < 1e-6
+    p = proposed_positions("normal", 12)
+    assert np.max(np.abs(p + p[::-1] - 1)) < 1e-6
 
 
 def test_proposed_positions_label():
-    ps = proposed_positions("gumbel", 5, k=2)
-    assert ps.formula.label == "eupp(gumbel, k=2)"
-    assert ps.formula.id == EUPP_ID
+    f = make_formula("proposed", family="gumbel", k=2)
+    assert f.label == "eupp(gumbel, k=2)"
+    assert f.id == EUPP_ID
 
 
 def test_positions_for_dispatch():
     direct = proposed_positions("gumbel", 8, k=4)
     routed = positions_for("proposed", 8, family="gumbel")
-    assert np.array_equal(direct.p, routed.p)
+    assert np.array_equal(direct, routed)
     with pytest.raises(ValueError):
         positions_for(EUPP_ID, 8)  # family required
 
@@ -164,4 +164,4 @@ def test_erto_lepore_needs_two_observations():
         classical_positions("erto_lepore_2013", 1)
     with pytest.raises(ValueError, match="erto_lepore_2013"):
         positions_for("erto_lepore", 1)
-    assert positions_for("erto_lepore_2013", 2).p.shape == (2,)
+    assert positions_for("erto_lepore_2013", 2).shape == (2,)

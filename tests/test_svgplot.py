@@ -9,7 +9,7 @@ from ppbench import PlotSpec, emit_probability_paper, proposed_positions, quanti
 
 
 def _spec(n=46, line=(2.0, 0.5), title="demo"):
-    z = quantile(reduced("gumbel"), proposed_positions("gumbel", n).p)
+    z = quantile(reduced("gumbel"), proposed_positions("gumbel", n))
     x = 2.0 + 0.5 * z + 0.01 * np.sin(np.arange(n))
     return PlotSpec(title=title, family="gumbel",
                     points=tuple(zip(z.tolist(), x.tolist())), fitted_line=line)

@@ -42,6 +42,7 @@ import numpy as np
 from .distributions import (
     GUMBEL,
     NORMAL,
+    _check_int,
     canonical_family,
     paper_family,
     reduced,
@@ -60,7 +61,6 @@ MIN_REPLICATES = 100
 THREADS_ENV = "PPBENCH_THREADS"
 MLE_KEY = "mle"
 
-_INTS = (int, np.integer)  # what replicate_key accepts, bools aside
 _CHUNK = 1024
 _IFSE_BLOCK = 128
 
@@ -78,18 +78,11 @@ def replicate_key(seed: int, m: int) -> int:
 
     Keys place the seed in the upper 64 bits and m in the lower, so distinct
     (seed, m) pairs never share a stream and any replicate can be
-    regenerated in isolation with sample(). Both must be ints (numpy
-    integers too; bools are refused, TypeError) in [0, 2**64) (ValueError).
+    regenerated in isolation with sample(). Both lie in [0, 2**64); a float
+    or bool raises TypeError, since int() would put it on another stream.
     """
-    # bool is an int subclass, and int() would silently truncate a float
-    if (not isinstance(seed, _INTS) or not isinstance(m, _INTS)
-            or isinstance(seed, bool) or isinstance(m, bool)):
-        raise TypeError("seed and replicate index must be ints, got %r, %r" % (seed, m))
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError("seed must lie in [0, 2**64), got %d" % seed)
-    if not 0 <= m < SEED_LIMIT:
-        raise ValueError("replicate index must lie in [0, 2**64), got %d" % m)
-    return int(seed) * SEED_LIMIT + int(m)
+    return (_check_int(seed, "seed", 0, SEED_LIMIT - 1) * SEED_LIMIT
+            + _check_int(m, "replicate index", 0, SEED_LIMIT - 1))
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -142,14 +135,10 @@ class ExperimentConfig:
         if family not in (GUMBEL, NORMAL):
             raise ValueError("benchmark cells are defined for gumbel and normal")
         object.__setattr__(self, "family", family)
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 3:
-            raise ValueError("sample size must be an int >= 3")
-        if (not isinstance(self.replicates, int) or isinstance(self.replicates, bool)
-                or self.replicates < MIN_REPLICATES):
-            raise ValueError("replicates must be an int >= %d" % MIN_REPLICATES)
-        if (not isinstance(self.seed, int) or isinstance(self.seed, bool)
-                or not 0 <= self.seed < SEED_LIMIT):
-            raise ValueError("seed must be an int in [0, 2**64), got %r" % (self.seed,))
+        # stored as ints, so the report payload stays JSON-serialisable
+        for name, lo, hi in (("n", 3, None), ("replicates", MIN_REPLICATES, None),
+                             ("seed", 0, SEED_LIMIT - 1)):
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, lo, hi))
 
         resolved = []
         source = self.formulas if self.formulas is not None else ALL_IDS

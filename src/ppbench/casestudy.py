@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -215,12 +214,12 @@ def run_case_study(
     return CaseStudyReport(method=method, c=c, k=k, level=level, months=tuple(months))
 
 
-def month_plot_spec(report: MonthReport, title: Optional[str] = None) -> PlotSpec:
+def month_plot_spec(report: MonthReport) -> PlotSpec:
     """Probability-paper plot of one analyzed month on the log scale."""
     a = report.analysis
     pts = tuple(zip(a.design_y.tolist(), a.log_values.tolist()))
     return PlotSpec(
-        title=title or ("Lunar month %s, n=%d" % (a.label, a.n)),
+        title="Lunar month %s, n=%d" % (a.label, a.n),
         family=NORMAL,
         points=pts,
         fitted_line=(a.a_hat, a.b_hat),

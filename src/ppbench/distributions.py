@@ -50,6 +50,29 @@ class DegenerateSampleError(ValueError):
     """The sample carries no scale information (all values equal, etc.)."""
 
 
+_INTS = (int, np.integer)  # np.bool_ is no np.integer; bool is refused below
+
+
+def _check_int(value, what: str, lo: int, hi=None) -> int:
+    """The one rule for a count, level, index or key: ``value`` as an int in [lo, hi].
+
+    An int or numpy integer passes; a bool or other type raises TypeError,
+    a value out of range (hi None: no upper bound) ValueError.
+    """
+    if not isinstance(value, _INTS) or isinstance(value, bool):
+        raise TypeError("%s must be an int, got %r" % (what, value))
+    v = int(value)
+    if v < lo or (hi is not None and v > hi):
+        if hi is None:
+            span = ">= %d" % lo
+        elif hi >> 32 and not hi & (hi + 1):  # hi = 2**b - 1 reads as [lo, 2**b)
+            span = "in [%d, 2**%d)" % (lo, hi.bit_length())
+        else:
+            span = "in [%d, %d]" % (lo, hi)
+        raise ValueError("%s must be an int %s, got %r" % (what, span, value))
+    return v
+
+
 def canonical_family(name: str) -> str:
     """Normalize a family name, accepting common aliases."""
     try:
@@ -254,10 +277,7 @@ def quantile_derivative(family: str, p, order: int):
     R_4 = 6 y^4 - 12 y^3 + 11 y^2 - 6 y. The recurrences of _QD_POLYS give them.
     """
     family = paper_family(family)
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise TypeError("order must be an int")
-    if order < 1 or order > 4:
-        raise ValueError("unsupported derivative order %d, expected 1..4" % order)
+    order = _check_int(order, "derivative order", 1, 4)
     arr, scalar = _as_probabilities(p)
     poly = _QD_POLYS[family][order - 1]
     if family == GUMBEL:
@@ -269,15 +289,7 @@ def quantile_derivative(family: str, p, order: int):
 
 
 _WORD = (1 << 64) - 1
-
-
-def _stream_key(k) -> int:
-    # bool is an int subclass, but True is not a key anyone means
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise TypeError("stream keys must be ints, got %r" % (k,))
-    if not 0 <= k < 1 << 128:
-        raise ValueError("stream keys must lie in [0, 2**128), got %d" % k)
-    return int(k)
+_KEY_MAX = (1 << 128) - 1
 
 
 def sample(d: DistributionSpec, n: int, rng_seed) -> np.ndarray:
@@ -288,18 +300,15 @@ def sample(d: DistributionSpec, n: int, rng_seed) -> np.ndarray:
     samples regardless of what was drawn before, which is what makes Monte
     Carlo replicates independently reproducible. One key gives a vector of
     ``n`` draws; a sequence gives one row per key, and row r equals the
-    one-key draw for ``rng_seed[r]`` bitwise. A bad key raises TypeError
-    (not an int; bools are refused) or ValueError (out of range, or an
-    empty sequence) before anything is drawn.
+    one-key draw for ``rng_seed[r]`` bitwise. A bool or float n or key, an
+    n below 1, a key out of range or no key raises before anything is drawn.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError("n must be an int")
-    if n < 1:
-        raise ValueError("need at least one draw, got n=%d" % n)
-    single = isinstance(rng_seed, (int, np.integer))
+    n = _check_int(n, "draw count n", 1)
+    single = isinstance(rng_seed, _INTS)
     if not (single or isinstance(rng_seed, Iterable)) or isinstance(rng_seed, (str, bytes)):
         raise TypeError("rng_seed must be an int key or a sequence of int keys")
-    keys = [_stream_key(k) for k in ([rng_seed] if single else rng_seed)]
+    keys = [_check_int(k, "stream key", 0, _KEY_MAX)
+            for k in ([rng_seed] if single else rng_seed)]
     if not keys:
         raise ValueError("need at least one stream key")
 

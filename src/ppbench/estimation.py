@@ -34,7 +34,7 @@ from .distributions import (
     DistributionSpec,
     canonical_family,
     cdf,
-    reduced_return_quantile,
+    return_level,
 )
 from .order_stats import OrderStatMoments
 
@@ -64,7 +64,6 @@ class FitResult:
     b_hat: float
     method: str
     family: str
-    design_y: Optional[np.ndarray] = field(default=None, repr=False)
     residuals: Optional[np.ndarray] = field(default=None, repr=False)
     ridge: float = 0.0
     iterations: int = 0
@@ -116,7 +115,6 @@ def fit_ols(x_sorted, design_y, family: str = NORMAL) -> FitResult:
         b_hat=b,
         method=OLS,
         family=canonical_family(family),
-        design_y=y,
         residuals=resid,
     )
 
@@ -164,7 +162,6 @@ def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
         b_hat=b,
         method=GLS,
         family=moments.family,
-        design_y=y,
         residuals=resid,
         ridge=moments.ridge,
     )
@@ -238,14 +235,17 @@ def fit_mle(x, family: str) -> FitResult:
 
 
 def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:
-    """Quantile at return period T from a fitted line: a + b * Q(1 - 1/T).
+    """Quantile at return period T of the fitted law, on the data's scale.
 
-    Q(1 - 1/T) comes from ``reduced_return_quantile``, which stays accurate
-    where 1 - 1/T rounds to 1; ``F_level`` reports 1 - 1/T as a float.
+    That is ``return_level`` of (family, a_hat, b_hat): a + b * Q(1 - 1/T),
+    or exp of it for a log-family fit, so exceedance_probability reads the
+    estimate back as 1/T. Q(1 - 1/T) stays accurate where 1 - 1/T rounds to
+    1; ``F_level`` reports 1 - 1/T as a float. A fit with b_hat <= 0 (or a
+    non-finite parameter) raises ValueError, as in exceedance_probability.
     """
     T = float(T)
-    z = reduced_return_quantile(fit.family, T)
-    return QuantileEstimate(T=T, x_T_hat=fit.a_hat + fit.b_hat * z, F_level=1.0 - 1.0 / T)
+    x_T = return_level(DistributionSpec(fit.family, a=fit.a_hat, b=fit.b_hat), T)
+    return QuantileEstimate(T=T, x_T_hat=x_T, F_level=1.0 - 1.0 / T)
 
 
 def exceedance_probability(

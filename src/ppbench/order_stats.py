@@ -44,6 +44,7 @@ from scipy import special
 from .distributions import (
     GUMBEL,
     NORMAL,
+    _check_int,
     _parent,
     paper_family,
     quantile_derivative,
@@ -70,13 +71,15 @@ class QuadratureError(RuntimeError):
     """A quadrature failed to reach the required error bound."""
 
 
-def _check_indices(i, n: int) -> np.ndarray:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("sample size must be a positive int, got %r" % (n,))
-    r = np.asarray(i)
-    if r.dtype.kind not in "iu" or (r < 1).any() or (r > n).any():
-        raise ValueError("order index must be ints with 1 <= i <= N, got i=%r" % (i,))
-    return r
+def _check_indices(n, *ranks) -> list:
+    """[n, *ranks]: n as an int >= 1, then each rank argument as an int array in 1..n."""
+    out = [_check_int(n, "sample size n", 1)]
+    for i in ranks:
+        r = np.asarray(i)
+        if r.dtype.kind not in "iu" or (r < 1).any() or (r > out[0]).any():
+            raise ValueError("order index must be ints with 1 <= i <= N, got i=%r" % (i,))
+        out.append(r)
+    return out
 
 
 def expansion_mean(family: str, i, n: int, k: int = 4):
@@ -93,9 +96,8 @@ def expansion_mean(family: str, i, n: int, k: int = 4):
     ``i`` is an int (giving a float) or an integer array of ranks.
     """
     family = paper_family(family)
-    i = _check_indices(i, n)
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > 4:
-        raise ValueError("truncation level k must be an int in 0..4, got %r" % (k,))
+    n, i = _check_indices(n, i)
+    k = _check_int(k, "truncation level k", 0, 4)
 
     mu = i / (n + 1.0)
     q = 1.0 - mu
@@ -128,8 +130,8 @@ def expansion_cov(family: str, i, j, n: int):
     give. Other shapes evaluate both orders.
     """
     family = paper_family(family)
-    i = _check_indices(i, n) - 1
-    j = _check_indices(j, n) - 1
+    n, i, j = _check_indices(n, i, j)
+    i, j = i - 1, j - 1
 
     p = np.arange(1, n + 1) / (n + 1.0)
     q = 1.0 - p
@@ -251,7 +253,8 @@ def _exact_moments(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mean, second
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True hash and compare equal to 2 and 1, and would hit their entries
+@lru_cache(maxsize=None, typed=True)
 def exact_mean(family: str, i: int, n: int) -> float:
     """E of the i-th reduced order statistic by fixed-node quadrature.
 
@@ -260,7 +263,7 @@ def exact_mean(family: str, i: int, n: int) -> float:
     N > EXACT_MAX_N and QuadratureError if its error check fails.
     """
     family = paper_family(family)
-    _check_indices(i, n)
+    n, _ = _check_indices(n, i)
     return float(_exact_moments(family, n)[0][i - 1])
 
 
@@ -341,8 +344,7 @@ def _exact_joint_moments(family: str, n: int) -> np.ndarray:
 def exact_cov(family: str, i, j, n: int):
     """Covariance of reduced order statistics by quadrature.
 
-    ``i`` and ``j`` are ints (giving a float) or integer rank arrays that
-    broadcast together, as in expansion_cov. The value is
+    ``i``, ``j`` and ``n`` are as in expansion_cov. The value is
     E[Z_i Z_j] - E[Z_i] E[Z_j], read from the symmetric table of
     _exact_joint_moments (E[Z_i^2] on its diagonal) and the means of
     _exact_moments. Both tables are cached per (family, N), so this kernel
@@ -353,8 +355,8 @@ def exact_cov(family: str, i, j, n: int):
     Symmetric in (i, j).
     """
     family = paper_family(family)
-    i = _check_indices(i, n) - 1
-    j = _check_indices(j, n) - 1
+    n, i, j = _check_indices(n, i, j)
+    i, j = i - 1, j - 1
     mean, second = _exact_moments(family, n)
     diagonal = i.shape == j.shape and (i == j).all()
     joint = second[i] if diagonal else _exact_joint_moments(family, n)[i, j]
@@ -424,8 +426,7 @@ def build_moments(
     family = paper_family(family)
     if cov_mode not in COV_MODES:
         raise ValueError("cov_mode must be one of %s" % (COV_MODES,))
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError("need at least two order statistics, got n=%r" % (n,))
+    n = _check_int(n, "sample size n", 2)
 
     r = np.arange(1, n + 1)
     if cov_mode == EXACT:

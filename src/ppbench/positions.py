@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import canonical_family, reduced_cdf
+from .distributions import _check_int, canonical_family, reduced_cdf
 from .order_stats import expansion_mean
 
 EUPP_ID = "eupp"
@@ -35,7 +35,7 @@ class PositionFormula:
     """Identifies one way of computing plotting positions.
 
     Classical members carry the two offsets; the exact-unbiased member
-    carries the parent family and truncation level instead.
+    carries the parent family and truncation level k in 0..4, stored as an int.
     """
 
     id: str
@@ -49,9 +49,7 @@ class PositionFormula:
             if self.family is None:
                 raise ValueError("the exact-unbiased formula needs a family")
             object.__setattr__(self, "family", canonical_family(self.family))
-            k = self.k
-            if not isinstance(k, int) or isinstance(k, bool) or k < 0 or k > 4:
-                raise ValueError("truncation level k must be an int in 0..4, got %r" % (k,))
+            object.__setattr__(self, "k", _check_int(self.k, "truncation level k", 0, 4))
 
     @property
     def label(self) -> str:
@@ -132,8 +130,7 @@ def classical_positions(f: Union[str, PositionFormula], n: int) -> np.ndarray:
     """Evaluate a two-constant formula for sample size n; returns p as a 1-D array."""
     if isinstance(f, str):
         f = make_formula(f)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("sample size must be a positive int")
+    n = _check_int(n, "sample size n", 1)
     if f.id == EUPP_ID:
         raise ValueError("use proposed_positions() for the exact-unbiased formula")
     if f.id == "erto_lepore_2013":
@@ -164,8 +161,7 @@ def proposed_positions(family: str, n: int, k: int = 4) -> np.ndarray:
     collapses to i / (n + 1) for every family.
     """
     family = canonical_family(family)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("sample size must be a positive int")
+    n = _check_int(n, "sample size n", 1)
     y = expansion_mean(family, np.arange(1, n + 1), n, k)
     p = np.asarray(reduced_cdf(family, y), dtype=float)
     if np.any(p <= 0.0) or np.any(p >= 1.0):

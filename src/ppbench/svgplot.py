@@ -92,6 +92,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-12 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
+        if t + step == t:  # step is below the float spacing at t
+            break
         t += step
     return ticks
 

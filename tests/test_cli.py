@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -351,6 +355,24 @@ def test_plot_command(values_csv, tmp_path, capsys):
     assert main(["plot", "--input", values_csv, "--family", "gumbel",
                  "--out", str(out), "--no-fit"]) == 0
     assert 'class="fit"' not in out.read_text()
+
+
+def test_plot_of_values_one_float_spacing_apart_finishes(tmp_path):
+    # the value axis spans 2 at 1e16, where the float spacing is 2, so its
+    # tick step of 0.5 left the tick loop standing while its list grew; in a
+    # child process the data limit turns that growth into exit 2 and the
+    # timeout is the last guard, so a hang fails here instead of stalling
+    data, out = tmp_path / "vals.csv", tmp_path / "chart.svg"
+    data.write_text("value\n" + "1e16\n" * 2 + "1.0000000000000002e16\n" * 3)
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_DATA, (1 << 29, 1 << 29)); "
+            "from ppbench.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["plot", "--no-fit", "--family", "normal", "--input", str(data), "--out", str(out)]
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert out.read_text().count('class="marker"') == 5
 
 
 def test_plot_rejects_lognormal_family(values_csv, tmp_path, capsys):

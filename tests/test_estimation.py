@@ -333,6 +333,27 @@ def test_predict_quantile_far_tail():
     assert est.F_level == 1.0
 
 
+@pytest.mark.parametrize("family", ["gumbel", "normal", "lognormal3"])
+@pytest.mark.parametrize("T", [2.0, 100.0, 1e4])
+def test_predict_quantile_reads_back_as_one_over_T(family, T):
+    # a log-family fit is made on log x; its quantile was once left on that
+    # scale, where exceedance_probability read 0.555 for T = 100
+    y = _design("normal" if family == "lognormal3" else family, 7)
+    x = np.exp(np.sort(1.0 + 0.5 * y + 0.01 * np.sin(np.arange(7.0))))
+    fit = fit_ols(np.log(x) if family == "lognormal3" else x, y, family=family)
+    q = predict_quantile(fit, T)
+    assert exceedance_probability(fit, q.x_T_hat) == pytest.approx(1.0 / T, rel=1e-12)
+
+
+def test_predict_quantile_rejects_a_non_positive_slope():
+    for b in (0.0, -1.0):
+        fit = dataclasses.replace(fit_ols(np.arange(5.0), np.arange(5.0)), b_hat=b)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            predict_quantile(fit, 100.0)
+        with pytest.raises(ValueError, match="scale must be positive"):
+            exceedance_probability(fit, 3.0)
+
+
 def test_exceedance_probability_consistency():
     y = _design("gumbel", 20)
     fit = fit_ols(np.sort(2.0 + 0.5 * y), y, family="gumbel")

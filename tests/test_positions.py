@@ -144,7 +144,7 @@ def test_eupp_formula_validation():
         make_formula(EUPP_ID, family="gumbel", k=7)
     # a bool is not a truncation level, though it is an int
     for bad in (True, False, 2.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             PositionFormula(EUPP_ID, family="gumbel", k=bad)
     # every level 0..4 is legal
     for k in range(5):

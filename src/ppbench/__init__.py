@@ -13,7 +13,6 @@ from .distributions import (
     canonical_family,
     cdf,
     paper_family,
-    pdf,
     quantile,
     quantile_derivative,
     reduced,
@@ -44,12 +43,10 @@ from .positions import (
     EUPP_ID,
     PositionFormula,
     canonical_formula_id,
-    catalogue,
     classical_positions,
     make_formula,
     positions_for,
     proposed_positions,
-    symmetry_check,
 )
 from .estimation import (
     GLS,

@@ -151,9 +151,6 @@ class ExperimentConfig:
             raise ValueError("no estimator to benchmark: give a formula or keep the MLE baseline")
         object.__setattr__(self, "formulas", tuple(resolved))
 
-    def formula_keys(self) -> tuple[str, ...]:
-        return tuple(f.label for f in self.formulas)
-
 
 def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> np.ndarray:
     keys = [replicate_key(seed, m) for m in range(start, start + count)]

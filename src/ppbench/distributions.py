@@ -226,18 +226,6 @@ def cdf(d: DistributionSpec, x):
     return _ret(_cdf_z(d.family, z), scalar)
 
 
-def pdf(d: DistributionSpec, x):
-    arr, scalar = _as_array(x)
-    if d.family == LOGNORMAL3:
-        out = np.zeros_like(arr)
-        above = arr > d.c
-        t = arr[above] - d.c
-        out[above] = _parent(NORMAL, (np.log(t) - d.a) / d.b, 0)[0] / (d.b * t)
-        return _ret(out, scalar)
-    f = _parent(d.family, np.ravel((arr - d.a) / d.b), 0)[0]  # _parent slices rows; k = 0: no F
-    return _ret(f.reshape(arr.shape) / d.b, scalar)
-
-
 def quantile(d: DistributionSpec, p):
     """Inverse CDF. Raises DomainError unless p lies strictly in (0, 1)."""
     arr, scalar = _as_probabilities(p)

@@ -22,7 +22,7 @@ one row, so the library and the benchmark share the same fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -64,16 +64,13 @@ class FitResult:
     b_hat: float
     method: str
     family: str
-    residuals: Optional[np.ndarray] = field(default=None, repr=False)
     ridge: float = 0.0
-    iterations: int = 0
 
 
 @dataclass(frozen=True)
 class QuantileEstimate:
     T: float
     x_T_hat: float
-    F_level: float
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,13 +106,11 @@ def fit_ols(x_sorted, design_y, family: str = NORMAL) -> FitResult:
     if np.all(y == y[0]):
         raise DegenerateSampleError("design ordinates are constant")
     a, b = (float(v[0]) for v in ols_batch(x[None, :], y))
-    resid = x - (a + b * y)
     return FitResult(
         a_hat=a,
         b_hat=b,
         method=OLS,
         family=canonical_family(family),
-        residuals=resid,
     )
 
 
@@ -156,13 +151,11 @@ def fit_gls(x_sorted, moments: OrderStatMoments) -> FitResult:
         raise DegenerateSampleError("design ordinates are constant")
     b = float(t_perp @ (w - (uw / uu) * u) / tt)
     a = float((uw - b * ut) / uu)
-    resid = x - (a + b * y)
     return FitResult(
         a_hat=a,
         b_hat=b,
         method=GLS,
         family=moments.family,
-        residuals=resid,
         ridge=moments.ridge,
     )
 
@@ -224,13 +217,13 @@ def fit_mle(x, family: str) -> FitResult:
     if float(x.std()) == 0.0:
         raise DegenerateSampleError("all observations are equal")
 
-    a, b, converged, it = mle_batch(x[None, :], family)
+    a, b, converged, _ = mle_batch(x[None, :], family)
     if not converged[0]:
         raise NonConvergenceError(
             "scale iteration did not converge in %d steps" % MLE_MAX_ITER
         )
     return FitResult(
-        a_hat=float(a[0]), b_hat=float(b[0]), method=MLE, family=family, iterations=it
+        a_hat=float(a[0]), b_hat=float(b[0]), method=MLE, family=family
     )
 
 
@@ -240,12 +233,12 @@ def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:
     That is ``return_level`` of (family, a_hat, b_hat): a + b * Q(1 - 1/T),
     or exp of it for a log-family fit, so exceedance_probability reads the
     estimate back as 1/T. Q(1 - 1/T) stays accurate where 1 - 1/T rounds to
-    1; ``F_level`` reports 1 - 1/T as a float. A fit with b_hat <= 0 (or a
-    non-finite parameter) raises ValueError, as in exceedance_probability.
+    1. A fit with b_hat <= 0 (or a non-finite parameter) raises ValueError,
+    as in exceedance_probability.
     """
     T = float(T)
     x_T = return_level(DistributionSpec(fit.family, a=fit.a_hat, b=fit.b_hat), T)
-    return QuantileEstimate(T=T, x_T_hat=x_T, F_level=1.0 - 1.0 / T)
+    return QuantileEstimate(T=T, x_T_hat=x_T)
 
 
 def exceedance_probability(

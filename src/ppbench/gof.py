@@ -34,10 +34,6 @@ class MadResult:
     comparison: str
     reference_points: dict
 
-    @property
-    def passed_5pct(self) -> bool:
-        return self.comparison == PASS_5PCT
-
 
 def _classify(a2_modified: float) -> str:
     if a2_modified <= CRITICAL_5PCT:

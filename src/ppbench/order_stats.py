@@ -419,7 +419,7 @@ def build_moments(
 
     cov_mode selects the covariance model: the second-order expansion, the
     exact quadrature values, the expansion diagonal only, or the identity.
-    In exact mode the mean vector is also exact and k is ignored.
+    In exact mode the mean vector is also exact and k, though checked, is unused.
     Every covariance mode makes one broadcast kernel call, O(N^2) array
     work for the full matrix, not O(N^2) Python calls.
     """
@@ -427,6 +427,7 @@ def build_moments(
     if cov_mode not in COV_MODES:
         raise ValueError("cov_mode must be one of %s" % (COV_MODES,))
     n = _check_int(n, "sample size n", 2)
+    k = _check_int(k, "truncation level k", 0, 4)
 
     r = np.arange(1, n + 1)
     if cov_mode == EXACT:

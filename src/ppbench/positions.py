@@ -35,7 +35,8 @@ class PositionFormula:
     """Identifies one way of computing plotting positions.
 
     Classical members carry the two offsets; the exact-unbiased member
-    carries the parent family and truncation level k in 0..4, stored as an int.
+    carries the parent family. Every member carries a truncation level k in
+    0..4, stored as an int; only the exact-unbiased member reads it.
     """
 
     id: str
@@ -45,11 +46,11 @@ class PositionFormula:
     k: int = 4
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "k", _check_int(self.k, "truncation level k", 0, 4))
         if self.id == EUPP_ID:
             if self.family is None:
                 raise ValueError("the exact-unbiased formula needs a family")
             object.__setattr__(self, "family", canonical_family(self.family))
-            object.__setattr__(self, "k", _check_int(self.k, "truncation level k", 0, 4))
 
     @property
     def label(self) -> str:
@@ -108,14 +109,9 @@ def make_formula(name: str, family: Optional[str] = None, k: int = 4) -> Positio
     if fid == EUPP_ID:
         return PositionFormula(id=EUPP_ID, family=family, k=k)
     if fid == "erto_lepore_2013":
-        return PositionFormula(id=fid)
+        return PositionFormula(id=fid, k=k)
     a, b = _CLASSICAL[fid]
-    return PositionFormula(id=fid, rank_offset=a, size_offset=b)
-
-
-def catalogue() -> tuple[PositionFormula, ...]:
-    """Every classical formula, one entry per distinct id."""
-    return tuple(make_formula(fid) for fid in CLASSICAL_IDS)
+    return PositionFormula(id=fid, rank_offset=a, size_offset=b, k=k)
 
 
 def _erto_lepore_2013_offsets(n: int) -> tuple[float, float]:
@@ -182,9 +178,3 @@ def positions_for(
     if f.id == EUPP_ID:
         return proposed_positions(f.family, n, f.k)
     return classical_positions(f, n)
-
-
-def symmetry_check(p: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when p_i + p_{n+1-i} = 1 to within tol for all i."""
-    s = p + p[::-1]
-    return bool(np.max(np.abs(s - 1.0)) <= tol)

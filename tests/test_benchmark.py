@@ -99,9 +99,9 @@ def test_config_rejects_an_empty_estimator_set():
     # the report would hold no row, which report-v1 rejects (rows has minItems 1)
     with pytest.raises(ValueError, match="no estimator"):
         ExperimentConfig(family="gumbel", n=5, formulas=[], include_mle=False)
-    assert ExperimentConfig(family="gumbel", n=5, formulas=[]).formula_keys() == ()
-    assert ExperimentConfig(family="gumbel", n=5, formulas=["weibull"],
-                            include_mle=False).formula_keys() == ("weibull",)
+    assert ExperimentConfig(family="gumbel", n=5, formulas=[]).formulas == ()
+    cfg = ExperimentConfig(family="gumbel", n=5, formulas=["weibull"], include_mle=False)
+    assert tuple(f.label for f in cfg.formulas) == ("weibull",)
 
 
 def test_config_seed_names_its_stream():
@@ -121,12 +121,12 @@ def test_config_rejects_exact_unbiased_formula_of_another_family():
     with pytest.raises(ValueError, match="built for family 'normal'"):
         ExperimentConfig("gumbel", 30, formulas=[make_formula("eupp", family="normal")])
     cfg = ExperimentConfig("gumbel", 30, formulas=[make_formula("eupp", family="ev1")])
-    assert cfg.formula_keys() == ("eupp(gumbel, k=4)",)
+    assert tuple(f.label for f in cfg.formulas) == ("eupp(gumbel, k=4)",)
 
 
 def test_config_default_formula_roster():
     cfg = ExperimentConfig(family="normal", n=5, replicates=100)
-    keys = cfg.formula_keys()
+    keys = tuple(f.label for f in cfg.formulas)
     assert len(keys) == 14
     assert keys[0].startswith("eupp(normal")
     assert "weibull" in keys
@@ -212,7 +212,7 @@ def test_equal_designs_are_fitted_and_scored_once(monkeypatch):
     assert sorted(fits) == [476] * 13 + [1024] * 13  # 14 formulas, 2 chunks
     # per chunk, 13 distinct designs and the MLE baseline
     assert sorted(scores) == [476] * 14 + [1024] * 14
-    assert [r.estimator for r in rep.rows] == [MLE_KEY] + list(cfg.formula_keys())
+    assert [r.estimator for r in rep.rows] == [MLE_KEY] + [f.label for f in cfg.formulas]
     for label in ("tukey", "kerman"):
         alone = run_suite(ExperimentConfig(family="gumbel", n=5, replicates=1500,
                                            formulas=[label]))

@@ -64,6 +64,22 @@ def test_positions_eupp_needs_family(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["positions", "--n", "5", "--formula", "blom"],
+    ["fit", "--family", "gumbel", "--method", "gls", "--cov-mode", "exact"],
+], ids=["classical-positions", "exact-gls"])
+def test_truncation_level_out_of_range_exits_2(argv, values_csv, capsys):
+    # neither command reads k, but both accept it, so both check it
+    if argv[0] == "fit":
+        argv = argv + ["--input", values_csv]
+    assert main(argv + ["--k", "4"]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--k", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncation level k must be an int in [0, 4]" in captured.err
+
+
 def test_positions_erto_lepore_single_observation(capsys):
     assert main(["positions", "--n", "1", "--formula", "erto_lepore"]) == 2
     err = capsys.readouterr().err

@@ -58,7 +58,7 @@ def test_ols_recovers_exact_line():
     fit = fit_ols(np.sort(x), y, family="gumbel")
     assert fit.a_hat == pytest.approx(4.0, rel=1e-12)
     assert fit.b_hat == pytest.approx(1.5, rel=1e-12)
-    assert np.max(np.abs(fit.residuals)) < 1e-12
+    assert np.max(np.abs(x - (fit.a_hat + fit.b_hat * y))) < 1e-12
 
 
 @given(
@@ -176,9 +176,9 @@ def test_scalar_fits_are_one_row_of_the_batch_kernels(family):
     for r, x in enumerate(X):
         o, m = fit_ols(x, y, family=family), fit_mle(x, family)
         one_a, one_b = ols_batch(x[None, :], y)
-        one_am, one_bm, _, iterations = mle_batch(x[None, :], family)
+        one_am, one_bm, _, _ = mle_batch(x[None, :], family)
         assert (o.a_hat, o.b_hat) == (one_a[0], one_b[0])
-        assert (m.a_hat, m.b_hat, m.iterations) == (one_am[0], one_bm[0], iterations)
+        assert (m.a_hat, m.b_hat) == (one_am[0], one_bm[0])
         assert [o.a_hat, o.b_hat, m.a_hat, m.b_hat] == pytest.approx(
             [a[r], b[r], am[r], bm[r]], rel=1e-14)
 
@@ -301,7 +301,7 @@ def test_gumbel_mle_matches_scipy():
     loc, scale = scipy.stats.gumbel_r.fit(x)
     assert fit.a_hat == pytest.approx(loc, rel=1e-5)
     assert fit.b_hat == pytest.approx(scale, rel=1e-5)
-    assert fit.iterations > 0
+    assert mle_batch(x[None, :], "gumbel")[3] > 0
 
 
 def test_mle_rejects_unsupported_family():
@@ -315,7 +315,6 @@ def test_predict_quantile_return_period():
     est = predict_quantile(fit, 100.0)
     z = quantile(reduced("gumbel"), 1 - 1 / 100.0)
     assert est.x_T_hat == pytest.approx(2.0 + 0.5 * z, rel=1e-10)
-    assert est.F_level == pytest.approx(0.99)
     with pytest.raises(DomainError):
         predict_quantile(fit, 1.0)
     with pytest.raises(DomainError):
@@ -330,7 +329,6 @@ def test_predict_quantile_far_tail():
     assert est.x_T_hat == pytest.approx(34.538776394910684, rel=1e-13)
     est = predict_quantile(fit, 1e17)
     assert est.x_T_hat == pytest.approx(39.14394658089878, rel=1e-13)
-    assert est.F_level == 1.0
 
 
 @pytest.mark.parametrize("family", ["gumbel", "normal", "lognormal3"])

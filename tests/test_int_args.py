@@ -45,7 +45,9 @@ CASES = {
     "exact_mean.n": (lambda v: exact_mean("gumbel", 1, v), 2, 0),
     "exact_cov.n": (lambda v: exact_cov("normal", 1, 2, v), 2, 0),
     "build_moments.n": (lambda v: build_moments("normal", v), 2, 1),
+    "build_moments.k.exact": (lambda v: build_moments("normal", 5, k=v, cov_mode="exact"), 2, 5),
     "PositionFormula.k": (lambda v: make_formula("eupp", family="gumbel", k=v), 2, 5),
+    "PositionFormula.k.classical": (lambda v: make_formula("blom", k=v), 2, 5),
     "classical_positions.n": (lambda v: classical_positions("blom", v), 2, 0),
     "proposed_positions.n": (lambda v: proposed_positions("gumbel", v), 2, 0),
     "positions_for.n": (lambda v: positions_for("weibull", v), 2, 0),

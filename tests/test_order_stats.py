@@ -864,7 +864,9 @@ def test_lognormal3_moments_match_normal():
 def test_ensure_spd_repairs_indefinite_matrix():
     V = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     fixed, L, delta = ensure_spd(V)
-    assert delta > 0
+    # the shift starts at RIDGE_UNIT * trace / N = RIDGE_UNIT and doubles
+    # until it passes the eigenvalue -1: 34 doublings, 1.7179869184
+    assert delta == order_stats.RIDGE_UNIT * 2**34
     assert _is_spd(fixed)
     assert np.allclose(L, np.tril(L)) and np.allclose(L @ L.T, fixed, rtol=0, atol=1e-12)
     ok = np.eye(3)
@@ -872,6 +874,8 @@ def test_ensure_spd_repairs_indefinite_matrix():
     assert delta0 == 0.0
     assert np.array_equal(same, ok)
     assert np.array_equal(L0, ok)
+    # singular (eigenvalues 3, 0, 0): the first shift is enough
+    assert ensure_spd(np.ones((3, 3)))[2] == order_stats.RIDGE_UNIT
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -9,12 +9,10 @@ from ppbench import (
     EUPP_ID,
     PositionFormula,
     canonical_formula_id,
-    catalogue,
     classical_positions,
     make_formula,
     positions_for,
     proposed_positions,
-    symmetry_check,
 )
 from ppbench.positions import _erto_lepore_2013_offsets
 
@@ -35,10 +33,9 @@ OFFSET_TABLE = {
 
 
 def test_catalogue_contents():
-    ids = {f.id for f in catalogue()}
-    assert ids == set(CLASSICAL_IDS)
-    assert EUPP_ID not in ids  # needs a family, so not a free-standing entry
-    assert EUPP_ID in ALL_IDS
+    assert {make_formula(fid).id for fid in CLASSICAL_IDS} == set(CLASSICAL_IDS)
+    assert EUPP_ID not in CLASSICAL_IDS  # needs a family, so not a free-standing entry
+    assert ALL_IDS == (EUPP_ID,) + CLASSICAL_IDS
 
 
 @pytest.mark.parametrize("name,offsets", sorted(OFFSET_TABLE.items()))
@@ -87,12 +84,14 @@ def test_symmetric_formulas_satisfy_reflection():
              "cunnane", "adamowski", "erto_lepore_2013")
     for name in names:
         for n in (3, 8, 21):
-            assert symmetry_check(positions_for(name, n)), (name, n)
+            p = positions_for(name, n)
+            assert np.max(np.abs(p + p[::-1] - 1.0)) <= 1e-12, (name, n)
 
 
 def test_asymmetric_formulas_fail_reflection():
     for name in ("yu_huang_normal", "yu_huang_gumbel", "de"):
-        assert not symmetry_check(positions_for(name, 10)), name
+        p = positions_for(name, 10)
+        assert np.max(np.abs(p + p[::-1] - 1.0)) > 1e-12, name
 
 
 @given(st.sampled_from(sorted(OFFSET_TABLE)), st.integers(min_value=1, max_value=200))
@@ -149,6 +148,16 @@ def test_eupp_formula_validation():
     # every level 0..4 is legal
     for k in range(5):
         assert make_formula(EUPP_ID, family="gumbel", k=k).k == k
+
+
+def test_classical_formula_checks_k_and_ignores_it():
+    # every member checks k, but only the exact-unbiased one reads it
+    for k in range(5):
+        f = make_formula("blom", k=k)
+        assert f.label == "blom"
+        assert np.array_equal(positions_for(f, 10), classical_positions("blom", 10))
+    with pytest.raises(TypeError):
+        PositionFormula("blom", 0.375, 0.25, k="x")
 
 
 def test_classical_positions_input_validation():

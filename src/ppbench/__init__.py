@@ -90,7 +90,6 @@ from .casestudy import (
     MagnitudeRecord,
     MonthAnalysis,
     MonthReport,
-    ThresholdError,
     analyze_month,
     load_dataset,
     month_plot_spec,

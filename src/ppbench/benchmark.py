@@ -25,8 +25,10 @@ IQSE and IFSE values. ``run_suite`` merges those in chunk order
 (Chan, Golub & LeVeque, 1979), so a cell's memory is O(chunk) at any
 replicate count and its report is bitwise the same at any PPBENCH_THREADS.
 IFSE, most of a cell, runs inside the tasks, so a second thread pays: on a
-2-core machine the six acceptance cells (M = 10^4) took 2.26 s at two
-threads against 3.22 s at one (medians of 5 fresh processes, 1.42x).
+2-core machine the six acceptance cells (M = 10^4) ran 1.15x to 1.42x
+faster at two threads than at one, in three sets of 4 to 8 fresh-process
+pairs (medians; the ROADMAP baseline table). The machine's speed drifts
+20-40% over minutes, so the speed-up is a range, not one figure.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bradyseism_data
-from .distributions import LOGNORMAL3, NORMAL, reduced_quantile
+from .distributions import LOGNORMAL3, NORMAL, _log_excess, reduced_quantile
 from .estimation import GLS, OLS, FitResult, exceedance_probability, fit_gls, fit_ols
 from .gof import MadResult, _mean_sd, mad_case3, mad_known_params
 from .order_stats import EXPANSION, build_moments
@@ -32,10 +32,6 @@ DEFAULT_K = 4
 
 class DataCorruptionError(RuntimeError):
     """The embedded dataset no longer matches its recorded checksum."""
-
-
-class ThresholdError(ValueError):
-    """A magnitude at or below the analysis threshold slipped through."""
 
 
 @dataclass(frozen=True)
@@ -131,27 +127,24 @@ def analyze_month(
     method: str = OLS,
     level: float = DEFAULT_LEVEL,
 ) -> MonthAnalysis:
-    """Fit one month of magnitudes already filtered to exceed the threshold.
+    """Fit the log(x - c) of one month's magnitudes above the threshold c.
 
-    The caller is responsible for the filtering; a magnitude at or below c
-    raises ThresholdError because log(x - c) would be undefined.
+    The month is taken as recorded; magnitudes at or below c drop out. A NaN
+    level, a non-finite c or fewer than five magnitudes above c raise
+    ValueError, and a c or level that is not a real number TypeError.
     """
     if method not in (OLS, GLS):
         raise ValueError("month analysis fits with ols or gls")
-    # checked before the size: run_case_study filters with c, and a NaN or
-    # infinite c leaves every month empty
-    if not math.isfinite(c):
-        raise ValueError("the threshold c must be finite, got %r" % (c,))
-    mags = np.asarray(record.magnitudes, dtype=float)
-    if mags.size < 5:
-        raise ValueError("need at least five magnitudes above the threshold")
-    if (mags <= c).any():
-        raise ThresholdError(
-            "month %s holds magnitudes at or below %g; filter before analysis"
-            % (record.month_label, c)
-        )
-    logs = np.sort(np.log(mags - c))
+    if math.isnan(level):
+        raise ValueError("the exceedance level must not be NaN")
+    logs = _log_excess(record.magnitudes, c)
     n = int(logs.size)
+    if n < 5:
+        raise ValueError(
+            "month %s has %d magnitudes above the threshold %g; need at least 5"
+            % (record.month_label, n, c)
+        )
+    c, level = float(c), float(level)
 
     if method == OLS:
         p = proposed_positions(NORMAL, n, k)
@@ -167,7 +160,7 @@ def analyze_month(
         label=record.month_label,
         n=n,
         method=method,
-        k=k,
+        k=int(k),  # an int by now: the fit checked it
         c=c,
         level=level,
         a_hat=fit.a_hat,
@@ -198,10 +191,7 @@ def run_case_study(
     pooled = np.empty(sum(len(rec.magnitudes) for rec in records))
     filled = 0
     for rec in records:
-        kept = tuple(v for v in rec.magnitudes if v > c)
-        analysis = analyze_month(
-            MagnitudeRecord(rec.month_label, kept), c=c, k=k, method=method, level=level
-        )
+        analysis = analyze_month(rec, c=c, k=k, method=method, level=level)
         if months:
             cumulative = mad_known_params(analysis.log_values, *_mean_sd(pooled[:filled]))
         else:
@@ -211,7 +201,9 @@ def run_case_study(
         )
         pooled[filled : filled + analysis.n] = analysis.log_values
         filled += analysis.n
-    return CaseStudyReport(method=method, c=c, k=k, level=level, months=tuple(months))
+    return CaseStudyReport(
+        method=method, c=float(c), k=int(k), level=float(level), months=tuple(months)
+    )
 
 
 def month_plot_spec(report: MonthReport) -> PlotSpec:

@@ -30,6 +30,7 @@ from .casestudy import month_plot_spec, run_case_study
 from .distributions import (
     LOGNORMAL3,
     DistributionSpec,
+    _log_excess,
     canonical_family,
     quantile,
     reduced_quantile,
@@ -225,14 +226,14 @@ def _cmd_gof(args) -> int:
     if threshold is not None:
         if not np.isfinite(threshold):
             raise ValueError("--log-threshold must be finite, got %r" % threshold)
-        kept = vals[vals > threshold]
-        if kept.size < vals.size:
+        logs = _log_excess(vals, threshold)
+        if logs.size < vals.size:
             print(
                 "note: dropped %d value(s) at or below the threshold %g"
-                % (vals.size - kept.size, threshold),
+                % (vals.size - logs.size, threshold),
                 file=sys.stderr,
             )
-        vals = np.log(kept - threshold)
+        vals = logs
     mode = args.params.strip().lower()
     if mode == "self":
         res = mad_case3(vals)

@@ -210,6 +210,17 @@ def _from_reduced(d: DistributionSpec, z):
     return d.a + d.b * z
 
 
+def _log_excess(values, c) -> np.ndarray:
+    """log(x - c) of the values above the threshold c, ascending: the log family's data.
+
+    Values at or below c drop out. A non-finite c raises ValueError.
+    """
+    if not math.isfinite(c):
+        raise ValueError("the threshold c must be finite, got %r" % (c,))
+    x = np.asarray(values, dtype=float)
+    return np.sort(np.log(x[x > c] - c))
+
+
 def return_level(d: DistributionSpec, T) -> float:
     """The value exceeded on average once per T trials, tail-accurate in T."""
     return float(_from_reduced(d, reduced_return_quantile(d.family, float(T))))

@@ -150,42 +150,30 @@ def emit_probability_paper(spec: PlotSpec, path: Optional[str] = None) -> str:
         'stroke="black" stroke-width="1"/>' % (px0, py0, px1 - px0, py1 - py0)
     )
 
+    def tick(line, text_xy, size, anchor, value):
+        """A tick mark from line's (x1, y1, x2, y2) and value's label at text_xy."""
+        parts.append(
+            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
+            % line
+        )
+        parts.append(
+            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="%d" '
+            'text-anchor="%s">%s</text>' % (*text_xy, size, anchor, _fmt_num(value))
+        )
+
     # probability scale along the top edge, dotted guides down the panel
     for t, X in zip(spec.prob_ticks, sx(tick_z).tolist()):
         parts.append(
             '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="silver" '
             'stroke-width="0.5" stroke-dasharray="2,3"/>' % (X, py0, X, py1)
         )
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
-            % (X, py0 - 4, X, py0)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="9" '
-            'text-anchor="middle">%s</text>' % (X, py0 - 7, _fmt_num(t))
-        )
-
+        tick((X, py0 - 4, X, py0), (X, py0 - 7), 9, "middle", t)
     for z in _nice_ticks(z_lo, z_hi):
         X = sx(z)
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
-            % (X, py1, X, py1 + 4)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
-            'text-anchor="middle">%s</text>' % (X, py1 + 16, _fmt_num(z))
-        )
-
+        tick((X, py1, X, py1 + 4), (X, py1 + 16), 10, "middle", z)
     for x in _nice_ticks(x_lo, x_hi):
         Y = sy(x)
-        parts.append(
-            '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
-            % (px0 - 4, Y, px0, Y)
-        )
-        parts.append(
-            '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="10" '
-            'text-anchor="end">%s</text>' % (px0 - 7, Y + 3, _fmt_num(x))
-        )
+        tick((px0 - 4, Y, px0, Y), (px0 - 7, Y + 3), 10, "end", x)
 
     parts.append(
         '<text x="%.2f" y="%.2f" font-family="sans-serif" font-size="11" '

@@ -1,3 +1,8 @@
+import dataclasses
+import json
+from importlib import resources
+
+import jsonschema
 import numpy as np
 import pytest
 
@@ -5,7 +10,6 @@ from ppbench import (
     CaseStudyReport,
     DataCorruptionError,
     MagnitudeRecord,
-    ThresholdError,
     analyze_month,
     load_dataset,
     month_plot_spec,
@@ -35,11 +39,18 @@ def test_load_dataset_checksum_guard(monkeypatch):
         load_dataset()
 
 
-def test_analyze_month_requires_threshold_clearance():
+@pytest.mark.parametrize("method", ["ols", "gls"])
+def test_analyze_month_of_the_raw_month_is_that_of_its_magnitudes_above_c(method):
     rec = load_dataset()[0]
     assert min(rec.magnitudes) <= 1.0
-    with pytest.raises(ThresholdError):
-        analyze_month(rec)  # raw month still holds magnitudes at or below c
+    kept = MagnitudeRecord(rec.month_label, tuple(v for v in rec.magnitudes if v > 1.0))
+    raw, filtered = analyze_month(rec, method=method), analyze_month(kept, method=method)
+    for f in dataclasses.fields(raw):
+        got, want = getattr(raw, f.name), getattr(filtered, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
 
 
 def test_analyze_month_small_sample_guard():
@@ -55,6 +66,25 @@ def test_non_finite_threshold_is_named(c):
         run_case_study(c=c)
     with pytest.raises(ValueError, match="threshold c must be finite"):
         analyze_month(MagnitudeRecord("x", (1.5, 1.6, 1.7, 1.8, 1.9, 2.0)), c=c)
+
+
+def test_payload_numbers_are_floats_that_report_v1_accepts():
+    schema = json.loads(
+        resources.files("ppbench").joinpath("schemas/report-v1.json").read_text()
+    )
+    rep = run_case_study(c=np.float64(1.0), k=np.int64(4), level=5)
+    payload = rep.to_payload()
+    assert [type(payload[key]) for key in ("threshold", "truncation_level", "exceedance_level")
+            ] == [float, int, float]
+    assert all((type(m.analysis.c), type(m.analysis.k), type(m.analysis.level))
+               == (float, int, float) for m in rep.months)
+    doc = {"schema": "report-v1", "kind": "bradyseism", "payload": payload}
+    jsonschema.validate(json.loads(json.dumps(doc)), schema)
+    assert payload == run_case_study().to_payload()
+    with pytest.raises(TypeError):
+        run_case_study(level="5")
+    with pytest.raises(TypeError):
+        run_case_study(c="1")
 
 
 def test_analyze_month_method_validation():

@@ -8,7 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ppbench import build_moments, classical_positions, fit_gls, sample, reduced
+from ppbench import (
+    bradyseism_data, build_moments, classical_positions, fit_gls, reduced, run_case_study,
+    sample,
+)
 from ppbench.cli import main
 
 try:
@@ -345,6 +348,27 @@ def test_gof_non_finite_log_threshold_exits_2(flag, shown, values_csv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --log-threshold must be finite, got %s\n" % shown
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--level", "nan"], "the exceedance level must not be NaN"),
+    (["--c", "2.5"], "month I has 0 magnitudes above the threshold 2.5; need at least 5"),
+])
+def test_bradyseism_errors_name_the_input(argv, message, capsys):
+    assert main(["bradyseism"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
+def test_gof_log_threshold_matches_the_case_study(tmp_path, capsys):
+    path = tmp_path / "viii.csv"
+    path.write_text("value\n" + "".join("%r\n" % v for v in bradyseism_data.MAGNITUDES["VIII"]))
+    assert main(["gof", "--input", str(path), "--log-threshold", "1.0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    month = run_case_study().month("VIII").analysis
+    assert doc["payload"]["n_used"] == month.n
+    assert doc["payload"]["a2_modified"] == month.mad_self.a2_modified
 
 
 def test_bradyseism_json_and_plots(tmp_path, capsys):

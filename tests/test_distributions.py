@@ -59,6 +59,22 @@ def test_spec_validation():
     assert d.family == "normal" and d.b == 2.0
 
 
+def test_log_excess_keeps_the_values_above_c_ascending():
+    x = np.array([3.0, 1.0, 0.5, 2.0, 1.0 + 1e-12, 1.0, 7.5])
+    got = distributions._log_excess(x, 1.0)
+    assert got.size == 4  # both values equal to c drop out
+    assert np.all(np.diff(got) > 0)
+    assert got.tobytes() == np.sort(np.log(x[x > 1.0] - 1.0)).tobytes()
+    assert distributions._log_excess(tuple(x), 1.0).tobytes() == got.tobytes()
+    assert distributions._log_excess(x, 8.0).size == 0
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_log_excess_refuses_a_non_finite_threshold(c):
+    with pytest.raises(ValueError, match="threshold c must be finite"):
+        distributions._log_excess([1.5, 2.0], c)
+
+
 def test_gumbel_quantile_hand_values():
     d = reduced("gumbel")
     assert quantile(d, math.exp(-1)) == pytest.approx(0.0, abs=1e-15)

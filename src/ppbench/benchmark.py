@@ -100,9 +100,7 @@ def _worker_count() -> int:
     try:
         count = int(raw)
     except ValueError:
-        raise ValueError(
-            "%s must be a positive integer, got %r" % (THREADS_ENV, raw)
-        ) from None
+        count = 0
     if count < 1:
         raise ValueError("%s must be a positive integer, got %r" % (THREADS_ENV, raw))
     return count
@@ -111,7 +109,10 @@ def _worker_count() -> int:
 FormulaLike = Union[str, PositionFormula]
 
 
-def _check_formula_family(f: PositionFormula, family: str) -> None:
+def _resolve_formula(f: FormulaLike, family: str) -> PositionFormula:
+    """f as a formula of the cell's family; an id is built for that family."""
+    if not isinstance(f, PositionFormula):
+        f = make_formula(f, family=family)
     # the exact-unbiased positions belong to one parent; DSE scores them
     # against the cell's exact means, so any other parent is a mismatch
     if f.id == EUPP_ID and f.family != family:
@@ -119,6 +120,7 @@ def _check_formula_family(f: PositionFormula, family: str) -> None:
             "positions were built for family %r, benchmark cell is %r"
             % (f.family, family)
         )
+    return f
 
 
 @dataclass(frozen=True)
@@ -142,16 +144,13 @@ class ExperimentConfig:
                              ("seed", 0, SEED_LIMIT - 1)):
             object.__setattr__(self, name, _check_int(getattr(self, name), name, lo, hi))
 
-        resolved = []
+        if isinstance(self.formulas, (str, bytes)):
+            raise TypeError("formulas must be a sequence of formulas, got %r" % (self.formulas,))
         source = self.formulas if self.formulas is not None else ALL_IDS
-        for f in source:
-            if not isinstance(f, PositionFormula):
-                f = make_formula(f, family=family)
-            _check_formula_family(f, family)
-            resolved.append(f)
+        resolved = tuple(_resolve_formula(f, family) for f in source)
         if not resolved and not self.include_mle:
             raise ValueError("no estimator to benchmark: give a formula or keep the MLE baseline")
-        object.__setattr__(self, "formulas", tuple(resolved))
+        object.__setattr__(self, "formulas", resolved)
 
 
 def _sorted_samples(family: str, seed: int, start: int, count: int, n: int) -> np.ndarray:
@@ -226,9 +225,7 @@ def dse(family: str, n: int, f: FormulaLike) -> float:
     means of the reduced parent.
     """
     family = paper_family(family)
-    if not isinstance(f, PositionFormula):
-        f = make_formula(f, family=family)
-    _check_formula_family(f, family)
+    f = _resolve_formula(f, family)
     zhat = reduced_quantile(family, positions_for(f, n, family=family))
     means = np.array([exact_mean(family, i, n) for i in range(1, n + 1)])
     return float(np.sqrt(np.mean((zhat - means) ** 2)))
@@ -340,8 +337,8 @@ def run_suite(cfg: ExperimentConfig) -> BenchmarkReport:
         return chunk
 
     starts = range(0, M, _CHUNK)
-    # more threads than chunks would only sit idle
-    workers = min(_worker_count(), len(starts))
+    # more threads than chunks would only sit idle, and more than cores contend
+    workers = min(_worker_count(), len(starts), os.cpu_count() or 1)
     if workers == 1:
         chunks = map(work, starts)  # lazy: each chunk is merged before the next is drawn
     else:

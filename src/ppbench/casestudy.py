@@ -12,13 +12,12 @@ check).
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bradyseism_data
-from .distributions import LOGNORMAL3, NORMAL, _log_excess, reduced_quantile
+from .distributions import LOGNORMAL3, NORMAL, _check_real, _log_excess, reduced_quantile
 from .estimation import GLS, OLS, FitResult, exceedance_probability, fit_gls, fit_ols
 from .gof import MadResult, _mean_sd, mad_case3, mad_known_params
 from .order_stats import EXPANSION, build_moments
@@ -135,8 +134,7 @@ def analyze_month(
     """
     if method not in (OLS, GLS):
         raise ValueError("month analysis fits with ols or gls")
-    if math.isnan(level):
-        raise ValueError("the exceedance level must not be NaN")
+    level = _check_real(level, "the exceedance level", finite=False)
     logs = _log_excess(record.magnitudes, c)
     n = int(logs.size)
     if n < 5:
@@ -144,7 +142,6 @@ def analyze_month(
             "month %s has %d magnitudes above the threshold %g; need at least 5"
             % (record.month_label, n, c)
         )
-    c, level = float(c), float(level)
 
     if method == OLS:
         p = proposed_positions(NORMAL, n, k)
@@ -161,7 +158,7 @@ def analyze_month(
         n=n,
         method=method,
         k=int(k),  # an int by now: the fit checked it
-        c=c,
+        c=float(c),  # a real number by now: _log_excess checked it
         level=level,
         a_hat=fit.a_hat,
         b_hat=fit.b_hat,

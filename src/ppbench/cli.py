@@ -30,6 +30,7 @@ from .casestudy import month_plot_spec, run_case_study
 from .distributions import (
     LOGNORMAL3,
     DistributionSpec,
+    _check_reals,
     _log_excess,
     canonical_family,
     quantile,
@@ -83,9 +84,7 @@ def _read_values(path: str) -> np.ndarray:
         vals = np.array([float(r["value"]) for r in rows])
     except (TypeError, ValueError):
         raise ValueError("non-numeric entry in the 'value' column") from None
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("input values must be finite")
-    return vals
+    return _check_reals(vals, "input values")
 
 
 def _formula_arg(parser: argparse.ArgumentParser) -> None:
@@ -224,9 +223,7 @@ def _cmd_gof(args) -> int:
     n_total = int(vals.size)
     threshold = args.log_threshold
     if threshold is not None:
-        if not np.isfinite(threshold):
-            raise ValueError("--log-threshold must be finite, got %r" % threshold)
-        logs = _log_excess(vals, threshold)
+        logs = _log_excess(vals, threshold, "--log-threshold")
         if logs.size < vals.size:
             print(
                 "note: dropped %d value(s) at or below the threshold %g"

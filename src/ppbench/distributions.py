@@ -51,6 +51,7 @@ class DegenerateSampleError(ValueError):
 
 
 _INTS = (int, np.integer)  # np.bool_ is no np.integer; bool is refused below
+_REALS = _INTS + (float, np.floating)
 
 
 def _check_int(value, what: str, lo: int, hi=None) -> int:
@@ -71,6 +72,37 @@ def _check_int(value, what: str, lo: int, hi=None) -> int:
             span = "in [%d, %d]" % (lo, hi)
         raise ValueError("%s must be an int %s, got %r" % (what, span, value))
     return v
+
+
+def _check_real(value, what: str, finite: bool = True) -> float:
+    """The one rule for a real argument: ``value`` as a float.
+
+    A Python or numpy int or float passes; a bool, str, None or other type
+    raises TypeError. NaN raises ValueError, and +-inf too if ``finite``.
+    """
+    if not isinstance(value, _REALS) or isinstance(value, bool):
+        raise TypeError("%s must be a real number, got %r" % (what, value))
+    v = float(value)
+    if finite and not math.isfinite(v):
+        raise ValueError("%s must be finite, got %r" % (what, v))
+    if math.isnan(v):
+        raise ValueError("%s must not be NaN" % what)
+    return v
+
+
+def _check_reals(values, what: str, finite: bool = True) -> np.ndarray:
+    """The same rule for an array of reals: ``values`` as a float array.
+
+    Its dtype must be integer or floating (bool, str or object raise
+    TypeError); NaN or +-inf raises ValueError unless ``finite`` is False.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise TypeError("%s must be real numbers, got %s values" % (what, arr.dtype))
+    arr = arr.astype(float, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ValueError("%s must be finite" % what)
+    return arr
 
 
 def canonical_family(name: str) -> str:
@@ -108,11 +140,8 @@ class DistributionSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", canonical_family(self.family))
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
-            raise ValueError("location, scale and threshold must be finite")
+        for name, what in (("a", "location a"), ("b", "scale b"), ("c", "threshold c")):
+            object.__setattr__(self, name, _check_real(getattr(self, name), what))
         if self.b <= 0.0:
             raise ValueError("scale must be positive, got %g" % self.b)
 
@@ -122,21 +151,16 @@ def reduced(family: str) -> DistributionSpec:
     return DistributionSpec(canonical_family(family))
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
-
-
 def _as_probabilities(p):
-    arr, scalar = _as_array(p)
+    arr = _check_reals(p, "p", finite=False)
     # array methods, not np.any: these checks run on every quantile call
     if (arr <= 0.0).any() or (arr >= 1.0).any():
         raise DomainError("probability must lie strictly inside (0, 1)")
-    return arr, scalar
+    return arr
 
 
-def _ret(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
+def _ret(out: np.ndarray, arg: np.ndarray):
+    return float(out) if arg.ndim == 0 else out
 
 
 # The reduced parents' f, F, S and quantile, here and nowhere else in the
@@ -177,15 +201,15 @@ def reduced_cdf(family: str, z, out=None):
     result; it may be z itself.
     """
     family = paper_family(family)
-    arr, scalar = _as_array(z)
-    return _ret(_cdf_z(family, arr, out), scalar)
+    arr = _check_reals(z, "z", finite=False)
+    return _ret(_cdf_z(family, arr, out), arr)
 
 
 def reduced_quantile(family: str, p):
     """Quantile of the reduced variate; vectorized, domain p in (0, 1)."""
     family = paper_family(family)
-    arr, scalar = _as_probabilities(p)
-    return _ret(_quantile_z(family, arr), scalar)
+    arr = _as_probabilities(p)
+    return _ret(_quantile_z(family, arr), arr)
 
 
 def reduced_return_quantile(family: str, T):
@@ -196,12 +220,12 @@ def reduced_return_quantile(family: str, T):
     Raises DomainError unless T is finite and exceeds 1.
     """
     family = canonical_family(family)
-    arr, scalar = _as_array(T)
+    arr = _check_reals(T, "return period", finite=False)
     if not np.all((arr > 1.0) & np.isfinite(arr)):
         raise DomainError("return period must be finite and exceed 1")
     if family == GUMBEL:
-        return _ret(-np.log(-np.log1p(-1.0 / arr)), scalar)
-    return _ret(-special.ndtri(1.0 / arr), scalar)
+        return _ret(-np.log(-np.log1p(-1.0 / arr)), arr)
+    return _ret(-special.ndtri(1.0 / arr), arr)
 
 
 def _from_reduced(d: DistributionSpec, z):
@@ -210,37 +234,36 @@ def _from_reduced(d: DistributionSpec, z):
     return d.a + d.b * z
 
 
-def _log_excess(values, c) -> np.ndarray:
+def _log_excess(values, c, what: str = "the threshold c") -> np.ndarray:
     """log(x - c) of the values above the threshold c, ascending: the log family's data.
 
-    Values at or below c drop out. A non-finite c raises ValueError.
+    Values at or below c drop out. A non-finite c raises ValueError, naming c as ``what``.
     """
-    if not math.isfinite(c):
-        raise ValueError("the threshold c must be finite, got %r" % (c,))
-    x = np.asarray(values, dtype=float)
+    c = _check_real(c, what)
+    x = _check_reals(values, "values", finite=False)
     return np.sort(np.log(x[x > c] - c))
 
 
 def return_level(d: DistributionSpec, T) -> float:
     """The value exceeded on average once per T trials, tail-accurate in T."""
-    return float(_from_reduced(d, reduced_return_quantile(d.family, float(T))))
+    return float(_from_reduced(d, reduced_return_quantile(d.family, T)))
 
 
 def cdf(d: DistributionSpec, x):
-    arr, scalar = _as_array(x)
+    arr = _check_reals(x, "x", finite=False)
     if d.family == LOGNORMAL3:
         out = np.zeros_like(arr)
         above = arr > d.c
         out[above] = _cdf_z(NORMAL, (np.log(arr[above] - d.c) - d.a) / d.b)
-        return _ret(out, scalar)
+        return _ret(out, arr)
     z = (arr - d.a) / d.b
-    return _ret(_cdf_z(d.family, z), scalar)
+    return _ret(_cdf_z(d.family, z), arr)
 
 
 def quantile(d: DistributionSpec, p):
     """Inverse CDF. Raises DomainError unless p lies strictly in (0, 1)."""
-    arr, scalar = _as_probabilities(p)
-    return _ret(_from_reduced(d, _quantile_z(d.family, arr)), scalar)
+    arr = _as_probabilities(p)
+    return _ret(_from_reduced(d, _quantile_z(d.family, arr)), arr)
 
 
 def _derivative_polys(first, step) -> list[np.ndarray]:
@@ -277,14 +300,14 @@ def quantile_derivative(family: str, p, order: int):
     """
     family = paper_family(family)
     order = _check_int(order, "derivative order", 1, 4)
-    arr, scalar = _as_probabilities(p)
+    arr = _as_probabilities(p)
     poly = _QD_POLYS[family][order - 1]
     if family == GUMBEL:
         out = np.polyval(poly, -1.0 / np.log(arr)) / arr**order
     else:
         z = special.ndtri(arr)
         out = np.polyval(poly, z) * (_SQRT_2PI * np.exp(0.5 * z * z)) ** order
-    return _ret(out, scalar)
+    return _ret(out, arr)
 
 
 _WORD = (1 << 64) - 1

@@ -32,6 +32,8 @@ from .distributions import (
     NORMAL,
     DegenerateSampleError,
     DistributionSpec,
+    _check_real,
+    _check_reals,
     canonical_family,
     cdf,
     return_level,
@@ -74,18 +76,14 @@ class QuantileEstimate:
 
 
 def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _check_reals(x, "observations")
+    y = _check_reals(y, "design ordinates")
     if x.ndim != 1 or y.ndim != 1:
         raise ValueError("inputs must be one-dimensional")
     if x.shape != y.shape:
-        raise ValueError(
-            "%d observations against a design of %d ordinates" % (x.size, y.size)
-        )
+        raise ValueError("%d observations against a design of %d ordinates" % (x.size, y.size))
     if x.size < 3:
         raise ValueError("need at least three points to fit a line")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("inputs must be finite")
     if (x[1:] < x[:-1]).any():
         raise ValueError("observations must be sorted in ascending order")
     return x, y
@@ -209,11 +207,9 @@ def mle_batch(X: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray, np.nd
 def fit_mle(x, family: str) -> FitResult:
     """Maximum likelihood for the Gumbel or Normal family."""
     family = canonical_family(family)
-    x = np.asarray(x, dtype=float)
+    x = _check_reals(x, "observations")
     if x.ndim != 1 or x.size < 2:
         raise ValueError("need a one-dimensional sample of size >= 2")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("observations must be finite")
     if float(x.std()) == 0.0:
         raise DegenerateSampleError("all observations are equal")
 
@@ -222,9 +218,7 @@ def fit_mle(x, family: str) -> FitResult:
         raise NonConvergenceError(
             "scale iteration did not converge in %d steps" % MLE_MAX_ITER
         )
-    return FitResult(
-        a_hat=float(a[0]), b_hat=float(b[0]), method=MLE, family=family
-    )
+    return FitResult(a_hat=float(a[0]), b_hat=float(b[0]), method=MLE, family=family)
 
 
 def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:
@@ -236,9 +230,8 @@ def predict_quantile(fit: FitResult, T: float) -> QuantileEstimate:
     1. A fit with b_hat <= 0 (or a non-finite parameter) raises ValueError,
     as in exceedance_probability.
     """
-    T = float(T)
     x_T = return_level(DistributionSpec(fit.family, a=fit.a_hat, b=fit.b_hat), T)
-    return QuantileEstimate(T=T, x_T_hat=x_T)
+    return QuantileEstimate(T=float(T), x_T_hat=x_T)
 
 
 def exceedance_probability(
@@ -251,9 +244,6 @@ def exceedance_probability(
     three-parameter log model (pass family="lognormal3" and the threshold
     shift c). A NaN threshold raises ValueError; +-inf give 0 and 1.
     """
-    threshold = float(threshold)
-    if math.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
-    fam = canonical_family(family) if family is not None else fit.family
-    d = DistributionSpec(fam, a=fit.a_hat, b=fit.b_hat, c=c)
+    threshold = _check_real(threshold, "threshold", finite=False)
+    d = DistributionSpec(fit.family if family is None else family, a=fit.a_hat, b=fit.b_hat, c=c)
     return 1.0 - float(cdf(d, threshold))

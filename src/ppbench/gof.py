@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import NORMAL, DegenerateSampleError, reduced_cdf
+from .distributions import NORMAL, DegenerateSampleError, _check_real, _check_reals, reduced_cdf
 
 PASS_5PCT = "pass_5pct"
 PASS_2_5PCT = "pass_2_5pct"
@@ -78,13 +78,11 @@ def _result(a2: float, n: int) -> MadResult:
 
 
 def _check_sample(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    x = _check_reals(x, "sample")
     if x.ndim != 1:
         raise ValueError("sample must be one-dimensional")
     if x.size < _MIN_N:
         raise ValueError("need at least %d observations, got %d" % (_MIN_N, x.size))
-    if not np.isfinite(x).all():
-        raise ValueError("sample must be finite")
     return np.sort(x)
 
 
@@ -117,9 +115,9 @@ def mad_known_params(x, mean: float, sd: float) -> MadResult:
     The small-sample factor is still applied so values stay comparable with
     the estimated-parameter variant.
     """
-    mean, sd = float(mean), float(sd)
-    if not (math.isfinite(mean) and 0.0 < sd < math.inf):
-        raise ValueError("mean must be finite, and sd finite and positive")
+    mean, sd = _check_real(mean, "mean"), _check_real(sd, "sd")
+    if sd <= 0.0:
+        raise ValueError("sd must be positive, got %r" % sd)
     xs = _check_sample(x)
     u = reduced_cdf(NORMAL, (xs - mean) / sd)
     return _result(_a2_statistic(u), xs.size)

@@ -45,6 +45,7 @@ from .distributions import (
     GUMBEL,
     NORMAL,
     _check_int,
+    _check_reals,
     _parent,
     paper_family,
     quantile_derivative,
@@ -372,11 +373,9 @@ def ensure_spd(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     A NaN or infinite entry raises ValueError: LAPACK's Cholesky need not
     reject one.
     """
-    V = np.asarray(V, dtype=float)
+    V = _check_reals(V, "covariance")
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise ValueError("covariance must be a square matrix")
-    if not np.isfinite(V).all():
-        raise ValueError("covariance must be finite")
     try:
         return V, np.linalg.cholesky(V), 0.0
     except np.linalg.LinAlgError:

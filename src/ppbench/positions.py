@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .distributions import _check_int, canonical_family, reduced_cdf
+from .distributions import _check_int, _check_real, canonical_family, reduced_cdf
 from .order_stats import expansion_mean
 
 EUPP_ID = "eupp"
@@ -34,9 +34,9 @@ EUPP_ID = "eupp"
 class PositionFormula:
     """Identifies one way of computing plotting positions.
 
-    Classical members carry the two offsets; the exact-unbiased member
-    carries the parent family. Every member carries a truncation level k in
-    0..4, stored as an int; only the exact-unbiased member reads it.
+    Classical members carry the two offsets, stored as finite floats; the
+    exact-unbiased member carries the parent family and is the only one that
+    reads the truncation level k in 0..4, which every member stores as an int.
     """
 
     id: str
@@ -47,6 +47,9 @@ class PositionFormula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "k", _check_int(self.k, "truncation level k", 0, 4))
+        for name in ("rank_offset", "size_offset"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_real(getattr(self, name), name))
         if self.id == EUPP_ID:
             if self.family is None:
                 raise ValueError("the exact-unbiased formula needs a family")

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distributions import canonical_family, reduced_quantile
+from .distributions import _check_reals, canonical_family, reduced_quantile
 
 DEFAULT_PROB_TICKS = (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
 
@@ -49,18 +49,14 @@ class PlotSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", canonical_family(self.family))
-        pts = tuple(sorted((float(y), float(x)) for y, x in self.points))
-        if not all(map(math.isfinite, chain.from_iterable(pts))):
-            raise ValueError("points must be finite")
-        object.__setattr__(self, "points", pts)
-        ticks = tuple(float(t) for t in self.prob_ticks)
+        pts = _check_reals(self.points, "points").tolist()
+        object.__setattr__(self, "points", tuple(sorted((y, x) for y, x in pts)))
+        ticks = tuple(_check_reals(self.prob_ticks, "probability ticks").tolist())
         if any(t <= 0.0 or t >= 1.0 for t in ticks):
             raise ValueError("probability ticks must lie strictly inside (0, 1)")
         object.__setattr__(self, "prob_ticks", ticks)
         if self.fitted_line is not None:
-            a, b = (float(v) for v in self.fitted_line)
-            if not (math.isfinite(a) and math.isfinite(b)):
-                raise ValueError("fitted line intercept and slope must be finite")
+            a, b = _check_reals(self.fitted_line, "fitted line").tolist()
             object.__setattr__(self, "fitted_line", (a, b))
 
 

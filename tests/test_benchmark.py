@@ -93,6 +93,10 @@ def test_config_validation():
             ExperimentConfig(family="gumbel", n=5, replicates=bad)
     with pytest.raises(ValueError):
         ExperimentConfig(family="gumbel", n=5, formulas=["nope"])
+    # a string is a sequence of characters: "blom" once read as formula "b"
+    for bad in ("blom", b"blom"):
+        with pytest.raises(TypeError, match="formulas"):
+            ExperimentConfig(family="gumbel", n=5, formulas=bad)
 
 
 def test_config_rejects_an_empty_estimator_set():
@@ -439,9 +443,11 @@ class _SerialPool:
 
 
 def test_thread_count_capped_at_chunk_count(monkeypatch):
-    # 3000 replicates make 3 chunks of 1024; no thread is started
+    # 3000 replicates make 3 chunks of 1024; no thread is started, and the
+    # core count is set above both so that the chunk count is the cap
     monkeypatch.setattr(benchmark, "ThreadPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(benchmark.os, "cpu_count", lambda: 64)
     monkeypatch.setenv(THREADS_ENV, "64")
     capped = run_suite(_small_cfg(replicates=3000))
     assert _SerialPool.requested == [3]
@@ -452,6 +458,21 @@ def test_thread_count_capped_at_chunk_count(monkeypatch):
     # a single chunk never builds a pool
     monkeypatch.setenv(THREADS_ENV, "64")
     run_suite(_small_cfg(replicates=400))
+    assert _SerialPool.requested == [3]
+
+
+def test_thread_count_capped_at_core_count(monkeypatch):
+    # 5000 requested threads on 4 chunks: one per core, and none when the
+    # core count is unknown; no thread is started
+    monkeypatch.setattr(benchmark, "ThreadPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setenv(THREADS_ENV, "5000")
+    cfg = _small_cfg(replicates=3 * 1024 + 1)
+    monkeypatch.setattr(benchmark.os, "cpu_count", lambda: 3)
+    capped = run_suite(cfg)
+    assert _SerialPool.requested == [3]
+    monkeypatch.setattr(benchmark.os, "cpu_count", lambda: None)
+    assert run_suite(cfg).rows == capped.rows
     assert _SerialPool.requested == [3]
 
 

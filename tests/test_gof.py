@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -119,6 +121,12 @@ def test_saturated_transform_warns_and_still_returns():
     with pytest.warns(RuntimeWarning):
         res = mad_known_params(x, 0.0, 1e-6)
     assert np.isfinite(res.a2_modified)
+    # u = (1/2, q, q, q, q) with q = 1 - 2**-53 once the four saturated values
+    # are clipped to the largest float below 1, so 1 - q = 2**-53 exactly
+    q = 1.0 - 2.0**-53
+    half, low = math.log(0.5), math.log(2.0**-53)
+    s = (half + low) + (3 + 5 + 7) * (math.log(q) + low) + 9 * (math.log(q) + half)
+    assert res.a2_raw == pytest.approx(-5 - s / 5, rel=1e-12)
 
 
 def test_null_rejection_rate_close_to_nominal():

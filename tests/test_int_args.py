@@ -102,8 +102,9 @@ def test_config_of_numpy_integers_reports_json():
 
 
 def test_check_int_is_the_only_scalar_integer_check():
-    # a bool passes isinstance(x, int), so a hand-written integer check
-    # tests for bool; this finds every such test under src/
+    # a bool passes isinstance(x, int), so a hand-written integer (or real)
+    # check tests for bool; this finds every such test under src/: the
+    # integer rule's and the real rule's, which refuses a bool as well
     sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
@@ -117,4 +118,4 @@ def test_check_int_is_the_only_scalar_integer_check():
                 while not isinstance(scope, (ast.FunctionDef, ast.Module)):
                     scope = parents[scope]
                 sites.append((path.name, getattr(scope, "name", "<module>")))
-    assert sites == [("distributions.py", "_check_int")]
+    assert sites == [("distributions.py", "_check_int"), ("distributions.py", "_check_real")]
